@@ -39,6 +39,7 @@ from .classify import (
     Line,
     NotFromEdge,
     PredicateTag,
+    SharedComponent,
     SingularityKind,
     SingularPoint,
     classify_edge,
@@ -87,6 +88,7 @@ __all__ = [
     "PolyLineSet",
     "PredicateTag",
     "Segment",
+    "SharedComponent",
     "SimilarityTransform",
     "SingularPoint",
     "SingularityKind",

@@ -34,6 +34,7 @@ __all__ = [
     "DegreeOneAnomaly",
     "DegenerateJet",
     "NotFromEdge",
+    "SharedComponent",
     "factor_circle_line",
     "find_singularities",
     "classify_singularity",
@@ -53,6 +54,11 @@ class DegenerateJet(ValueError):
 
 class NotFromEdge(ValueError):
     """A quadratic that does not have the edge-conic coefficient pattern."""
+
+
+class SharedComponent(ValueError):
+    """f_x and f_y share a curve component, so elimination cannot isolate the
+    singular points."""
 
 
 @dataclass(frozen=True)
@@ -236,103 +242,117 @@ def classify_singularity(
     return SingularityKind.CUSP
 
 
-def _newton_polish(
-    cx: np.ndarray, cy: np.ndarray, pts: np.ndarray, iters: int, clamp: float
-) -> np.ndarray:
-    """Vectorized Newton iteration on the gradient system (f_x, f_y) = 0.
+#: A computed value counts as zero when its magnitude is within this many
+#: machine epsilons of the sum of absolute terms that produced it, e.g.
+#: sum |c_ij| |x|^i |y|^j for a polynomial evaluated at (x, y). That sum
+#: bounds the rounding error of the evaluation, so the test is scale-free.
+ROUNDING_ULPS = 64.0
 
-    Near a cusp the Hessian degenerates and convergence drops to linear, so
-    the iteration budget is generous; steps are clamped to keep divergent
-    seeds from overflowing.
-    """
-    cxx = np.zeros((4, 4))
-    cxy = np.zeros((4, 4))
-    cyy = np.zeros((4, 4))
-    cxx[:3, :] = cx[1:, :] * np.arange(1, 4)[:, None]
-    cxy[:, :3] = cx[:, 1:] * np.arange(1, 4)[None, :]
-    cyy[:, :3] = cy[:, 1:] * np.arange(1, 4)[None, :]
-    x = pts[:, 0].copy()
-    y = pts[:, 1].copy()
-    for _ in range(iters):
-        gx = npoly.polyval2d(x, y, cx)
-        gy = npoly.polyval2d(x, y, cy)
-        hxx = npoly.polyval2d(x, y, cxx)
-        hxy = npoly.polyval2d(x, y, cxy)
-        hyy = npoly.polyval2d(x, y, cyy)
+#: Newton steps that polish each elimination candidate.
+_POLISH_STEPS = 4
+
+#: Accepted points closer than this times max(1, |p|) are one singular point.
+_MERGE_RADIUS = 1e-6
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _within_rounding(value, magnitude) -> bool:
+    """Every |value| is within ROUNDING_ULPS epsilons of its `magnitude`."""
+    return bool(np.all(np.abs(value) <= ROUNDING_ULPS * _EPS * magnitude))
+
+
+def _vanishes_at(c: np.ndarray, p: Point) -> bool:
+    return _within_rounding(
+        npoly.polyval2d(p.x, p.y, c), npoly.polyval2d(abs(p.x), abs(p.y), np.abs(c))
+    )
+
+
+def _resultant_y(cx: np.ndarray, cy: np.ndarray, sign: float = -1.0) -> np.ndarray:
+    """Resultant in y of the conics with coefficient tables cx and cy, as
+    coefficients of a polynomial in x of degree at most 4. Where both y^2
+    (and then both y) columns vanish, the formula of the next lower degree
+    is used, since the degree-2 one would vanish identically. With sign=+1
+    and absolute tables it sums the absolute terms instead: the rounding
+    bound of each coefficient."""
+    (a0, a1, a2), (b0, b1, b2) = cx[:, :3].T, cy[:, :3].T
+    u = np.convolve(a2, b0) + sign * np.convolve(a0, b2)
+    v = np.convolve(a2, b1) + sign * np.convolve(a1, b2)
+    w = np.convolve(a1, b0) + sign * np.convolve(a0, b1)
+    if a2.any() or b2.any():
+        return np.convolve(u, u) + sign * np.convolve(v, w)
+    if a1.any() or b1.any():
+        return w
+    return np.ones(1)
+
+
+def _polish(f: BivariatePoly, p: Point) -> Point:
+    """A few Newton steps on (f_x, f_y) = 0 from p. Stops early where the
+    Hessian is singular (a cusp candidate that is already exact) or a step
+    leaves the floats; acceptance, not this function, decides the result."""
+    for _ in range(_POLISH_STEPS):
+        gx, gy = f.gradient_at(p)
+        hxx, hxy, hyy = f.second_partials_at(p)
         det = hxx * hyy - hxy * hxy
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dx = (-gx * hyy + gy * hxy) / det
-            dy = (-gy * hxx + gx * hxy) / det
-        bad = ~np.isfinite(dx) | ~np.isfinite(dy)
-        dx[bad] = 0.0
-        dy[bad] = 0.0
-        step = np.hypot(dx, dy)
-        shrink = np.where(step > clamp, clamp / np.maximum(step, 1e-300), 1.0)
-        x = x + dx * shrink
-        y = y + dy * shrink
-    return np.column_stack([x, y])
+        if det == 0.0:
+            break
+        x = p.x - (gx * hyy - gy * hxy) / det
+        y = p.y - (gy * hxx - gx * hxy) / det
+        if not (math.isfinite(x) and math.isfinite(y)):
+            break
+        p = Point(x, y)
+    return p
 
 
-def find_singularities(
-    f: BivariatePoly,
-    tol: float = 1e-8,
-    *,
-    box: tuple[float, float, float, float] | None = None,
-    grid_n: int = 64,
-    extra_seeds: np.ndarray | None = None,
-) -> list[SingularPoint]:
-    """All real solutions of f = f_x = f_y = 0, typed.
+def find_singularities(f: BivariatePoly) -> list[SingularPoint]:
+    """All real solutions of f = f_x = f_y = 0, typed, sorted by (x, y).
 
-    Newton iterations on the two-equation gradient system are seeded from a
-    coarse grid over `box` (plus any caller-provided seeds), deduplicated
-    within 1e-6, filtered by |f| <= tol on the normalized polynomial, and
-    typed by classify_singularity. Seeds are processed in row-major order so
-    the result is deterministic.
+    The partials are conics, so their common zeros come from elimination
+    (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, ch. 3): the
+    resultant of f_x and f_y in y is a polynomial of degree at most 4 in x.
+    The real part of each of its roots is substituted into both partials, and
+    the real parts of the roots of both resulting polynomials in y are the
+    candidates, so two singular points with the same x are both found. Each
+    candidate gets a few Newton steps on (f_x, f_y) = 0 and is accepted when
+    f, f_x and f_y each vanish within ROUNDING_ULPS epsilons of their own
+    sum |c_ij| |x|^i |y|^j. Accepted points within _MERGE_RADIUS * max(1, |p|)
+    of an earlier one are dropped. The search has no window, so a singular
+    point is found however far out it lies.
+
+    Raises:
+        SharedComponent: f_x and f_y vanish together along a curve (the
+            resultant vanishes identically, or both partials vanish on a
+            whole vertical line), so elimination cannot isolate the singular
+            points; f is not reduced, or is constant on that curve.
     """
     f = normalize(f)
     cx, cy = f.partial_arrays()
+    res = _resultant_y(cx, cy)
+    if _within_rounding(res, _resultant_y(np.abs(cx), np.abs(cy), 1.0)):
+        raise SharedComponent("the resultant of f_x and f_y vanishes identically")
 
-    if box is None:
-        c = np.abs(f.coeffs)
-        deg = effective_degree(f)
-        top = max(c[i, deg - i] for i in range(deg + 1))
-        lower = max(
-            (c[i, j] for i in range(4) for j in range(4) if i + j < deg),
-            default=0.0,
-        )
-        r = min(100.0, 4.0 * (1.0 + lower / max(top, 1e-300)))
-        box = (-r, r, -r, r)
-    x0, x1, y0, y1 = box
-    gx = np.linspace(x0, x1, grid_n)
-    gy = np.linspace(y0, y1, grid_n)
-    seeds = np.column_stack([np.repeat(gx, grid_n), np.tile(gy, grid_n)])
-    if extra_seeds is not None and len(extra_seeds):
-        seeds = np.vstack([seeds, np.asarray(extra_seeds, dtype=float)])
-
-    diag = math.hypot(x1 - x0, y1 - y0)
-    sol = _newton_polish(cx, cy, seeds, iters=60, clamp=0.25 * diag)
-
-    fx = npoly.polyval2d(sol[:, 0], sol[:, 1], cx)
-    fy = npoly.polyval2d(sol[:, 0], sol[:, 1], cy)
-    fv = npoly.polyval2d(sol[:, 0], sol[:, 1], f.coeffs)
-    keep = (
-        np.isfinite(sol).all(axis=1)
-        & (np.abs(sol[:, 0]) <= abs(x0) + abs(x1) + diag)
-        & (np.abs(sol[:, 1]) <= abs(y0) + abs(y1) + diag)
-        & (np.hypot(fx, fy) <= 1e-9)
-        & (np.abs(fv) <= tol)
-    )
-    sol = sol[keep]
+    candidates: list[Point] = []
+    for x0 in np.unique(npoly.polyroots(res).real):
+        in_y = []
+        for c in (cx, cy):
+            coeffs = npoly.polyval(x0, c)
+            if not _within_rounding(coeffs, npoly.polyval(abs(x0), np.abs(c))):
+                in_y.append(coeffs)
+        if not in_y:
+            raise SharedComponent(f"f_x and f_y both vanish on the line x = {x0}")
+        candidates += [
+            Point(float(x0), float(y0)) for c in in_y for y0 in npoly.polyroots(c).real
+        ]
 
     found: list[Point] = []
-    for x, y in sol:
-        if any(math.hypot(x - q.x, y - q.y) <= 1e-6 for q in found):
+    for p in candidates:
+        p = _polish(f, p)
+        if not all(_vanishes_at(c, p) for c in (f.coeffs, cx, cy)):
             continue
-        polished = _newton_polish(cx, cy, np.array([[x, y]]), iters=40, clamp=1.0)
-        px, py = float(polished[0, 0]), float(polished[0, 1])
-        if any(math.hypot(px - q.x, py - q.y) <= 1e-6 for q in found):
+        radius = _MERGE_RADIUS * max(1.0, math.hypot(p.x, p.y))
+        if any(math.hypot(p.x - q.x, p.y - q.y) <= radius for q in found):
             continue
-        found.append(Point(px, py))
+        found.append(p)
 
     found.sort(key=lambda p: (p.x, p.y))
     return [SingularPoint(p, classify_singularity(f, p)) for p in found]
@@ -437,12 +457,16 @@ def _unit(x: float, y: float) -> tuple[float, float]:
 def classify_edge(curve: EdgeCurve, tol: float = 1e-8) -> EdgeClass:
     """Table-style classification of the curve's own labeling branch.
 
-    Degree 3: try the circle-times-line split, otherwise look for
-    singularities. Degree 2: the quadratic dichotomy. Anything lower
+    Degree 3: try the circle-times-line split; otherwise the cubic is
+    irreducible, and it is singular exactly when find_singularities, which
+    intersects the conics f_x = 0 and f_y = 0 through their resultant and
+    accepts points where f, f_x and f_y vanish to rounding, finds a point
+    anywhere in the plane. Degree 2: the quadratic dichotomy. Anything lower
     signals a bug or an input that evaded canonicalization.
 
     Raises:
         DegreeOneAnomaly: effective degree is 1 or 0.
+        SharedComponent: an unfactored cubic whose partials share a curve.
     """
     poly = curve.poly
     deg = effective_degree(poly)
@@ -450,11 +474,7 @@ def classify_edge(curve: EdgeCurve, tol: float = 1e-8) -> EdgeClass:
         factors = factor_circle_line(poly, tol)
         if factors is not None:
             return EdgeClass(EdgeClassTag.CUBIC_CIRCLE_TIMES_LINE, factors=factors)
-        cfg = curve.config
-        half = 4.0 * (1.0 + abs(cfg.a) + abs(cfg.b) + cfg.l)
-        sings = find_singularities(
-            poly, box=(cfg.a - half, cfg.a + half, cfg.b - half, cfg.b + half)
-        )
+        sings = find_singularities(poly)
         if sings:
             return EdgeClass(
                 EdgeClassTag.CUBIC_IRREDUCIBLE_SINGULAR, singularities=tuple(sings)

@@ -11,8 +11,6 @@ independent check of the algebraic curve.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -104,15 +102,6 @@ class PolyLineSet:
         return np.vstack([np.asarray(p) for p in self.polylines])
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("AVD_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def _segment_angles(X: np.ndarray, Y: np.ndarray, s: Segment) -> np.ndarray:
     """Visual angle of s from every point; NaN where a point is an endpoint."""
     d0x = s.e0.x - X
@@ -137,26 +126,6 @@ def _gap_field(s1: Segment, s2: Segment) -> Callable[[np.ndarray, np.ndarray], n
     def fn(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return _segment_angles(X, Y, s1) - _segment_angles(X, Y, s2)
     return fn
-
-
-def _eval_rows(
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    xs: np.ndarray,
-    ys: np.ndarray,
-) -> np.ndarray:
-    """Evaluate fn on the full node grid, optionally chunked over rows.
-
-    Chunking is purely a throughput knob (AVD_THREADS); assembly order is
-    fixed, so the output is identical for any worker count.
-    """
-    workers = _worker_count()
-    X, Y = np.meshgrid(xs, ys)
-    if workers <= 1 or len(ys) < 4 * workers:
-        return fn(X, Y)
-    chunks = np.array_split(np.arange(len(ys)), workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda idx: fn(X[idx], Y[idx]), chunks))
-    return np.vstack(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +326,7 @@ def extract_bisector(
     """
     fn = _gap_field(s1, s2)
     xs, ys = grid.xs(), grid.ys()
-    values = _eval_rows(fn, xs, ys)
+    values = fn(*np.meshgrid(xs, ys))
     skip = _endpoint_cells(grid, (s1, s2))
     vertices, segments, crossings = _march(values, xs, ys, fn, skip, tol)
     if crossings == 0 or not vertices:
@@ -373,7 +342,7 @@ def implicit_polylines(p: BivariatePoly, grid: GridSpec) -> PolyLineSet:
     refined by bisection on the polynomial). Empty set if no sign change."""
     fn = _poly_field(p)
     xs, ys = grid.xs(), grid.ys()
-    values = _eval_rows(fn, xs, ys)
+    values = fn(*np.meshgrid(xs, ys))
     vertices, segments, _ = _march(values, xs, ys, fn, None, None)
     return PolyLineSet(_chain(vertices, segments))
 
@@ -499,7 +468,7 @@ def validate_curve(
 
     xs, ys = grid.xs(), grid.ys()
     fn_poly = _poly_field(p_conv)
-    values = _eval_rows(fn_poly, xs, ys)
+    values = fn_poly(*np.meshgrid(xs, ys))
     vertices, _unused_segments, _ = _march(values, xs, ys, fn_poly, None, None)
     samples = np.array(list(vertices.values())) if vertices else np.zeros((0, 2))
 

@@ -12,6 +12,7 @@ from avd import (
     Point,
     PredicateTag,
     Segment,
+    SharedComponent,
     SingularityKind,
     build_edge,
     classify_edge,
@@ -24,7 +25,7 @@ from avd import (
 )
 from avd.classify import Circle, Line, NotFromEdge
 from avd.edge import EdgeCurve
-from avd.poly import poly_mul
+from avd.poly import compose_affine, poly_mul
 from avd.verify import (
     circle_distance,
     collinear_config,
@@ -131,6 +132,33 @@ class TestSingularities:
             assert len(sings) == 1
             assert math.hypot(sings[0].location.x, sings[0].location.y) <= 1e-8
             assert sings[0].kind is want
+
+    def test_far_node_found(self):
+        # y^2 - x^2 (x + 1) moved so its node sits at (150, -90)
+        base = BivariatePoly.from_terms({(0, 2): 1.0, (3, 0): -1.0, (2, 0): -1.0})
+        f = BivariatePoly(compose_affine(base, (1.0, 0.0, -150.0), (0.0, 1.0, 90.0)))
+        sings = find_singularities(f)
+        assert [sp.kind for sp in sings] == [SingularityKind.NODE]
+        p = sings[0].location
+        assert math.hypot(p.x - 150.0, p.y + 90.0) <= 1e-6 * math.hypot(150.0, 90.0)
+        # the gradient also vanishes at x = 150 - 2/3, off the curve
+        assert all(abs(sp.location.x - (150.0 - 2.0 / 3.0)) > 0.1 for sp in sings)
+
+    def test_same_abscissa_pair(self):
+        # x (x^2 + y^2 - 1): the line meets the circle at (0, -1) and (0, 1);
+        # f_y = 2xy has no y^2 term and vanishes identically at x = 0
+        f = BivariatePoly.from_terms({(3, 0): 1.0, (1, 2): 1.0, (1, 0): -1.0})
+        sings = find_singularities(f)
+        assert [sp.kind for sp in sings] == [SingularityKind.NODE] * 2
+        for sp, y in zip(sings, (-1.0, 1.0)):
+            assert math.hypot(sp.location.x, sp.location.y - y) <= 1e-12
+
+    def test_shared_component_raises(self):
+        # x^2 y: the partials 2xy and x^2 share the line x = 0;
+        # x y^2: they share y = 0 and the resultant in y vanishes
+        for terms in ({(2, 1): 1.0}, {(1, 2): 1.0}):
+            with pytest.raises(SharedComponent):
+                find_singularities(BivariatePoly.from_terms(terms))
 
     def test_reported_points_polished(self, rng):
         for _ in range(10):

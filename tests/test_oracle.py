@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -126,14 +125,6 @@ class TestExtractBisector:
         coarse_diag = GridSpec.square(6.0, 96).cell_diagonal
         for pt in coarse:
             assert np.hypot(*(fine - pt).T).min() <= coarse_diag
-
-    def test_deterministic_under_thread_cap(self, monkeypatch):
-        grid = GridSpec.square(6.0, 96)
-        monkeypatch.setenv("AVD_THREADS", "1")
-        a = extract_bisector(S1, PARALLEL, grid).vertices()
-        monkeypatch.setenv("AVD_THREADS", "4")
-        b = extract_bisector(S1, PARALLEL, grid).vertices()
-        assert np.array_equal(a, b)
 
 
 class TestRasterize:
