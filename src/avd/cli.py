@@ -8,7 +8,8 @@ Configs are JSON: {"segments": [[[x,y],[x,y]], ...]} with optional "grid"
 and "tolerances" objects; an edge run may instead supply {"canonical":
 {"a":..,"b":..,"l":..,"sin_alpha":..,"cos_alpha":..}} so exact rational
 direction cosines are expressible. Exit codes: 2 malformed config, 3
-identical segments, 4 internal degree anomaly.
+identical segments, 4 internal anomaly (a degree-1 edge, a cubic whose
+partials share a component, or a singular point with a vanishing Hessian).
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from typing import Optional
 import numpy as np
 
 from .classify import (
+    DegenerateJet,
     DegreeOneAnomaly,
     EdgeClass,
+    SharedComponent,
     classify_edge,
     detect_geometric_degeneracy,
 )
@@ -129,6 +132,8 @@ class ClassificationReport:
     mirror_class: dict
     predicates: list
     validation: dict
+    #: the EdgeClass behind edge_class; in memory only, not serialized or compared
+    branch: Optional[EdgeClass] = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -230,6 +235,7 @@ def build_report(curve: EdgeCurve, grid: GridSpec, tol: float, angle_tol: float,
         mirror_class=_edge_class_dict(mirror_cls),
         predicates=predicates,
         validation=validation,
+        branch=cls,
     )
 
 
@@ -268,14 +274,13 @@ def cmd_edge(args) -> int:
             oracle = extract_bisector(s1, s2, grid)
         except EmptyResult:
             oracle = None
-        cls = classify_edge(curve, tol)
         svg = render_edge_scene(
             grid,
             [s1, s2],
             implicit_polylines(normalize(curve.world_poly), grid).polylines,
             implicit_polylines(normalize(curve.mirror_world_poly), grid).polylines,
             oracle,
-            cls.singularities,
+            report.branch.singularities,
         )
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -366,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     except IdenticalSegments as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IDENTICAL
-    except DegreeOneAnomaly as exc:
+    except (DegreeOneAnomaly, SharedComponent, DegenerateJet) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANOMALY
 

@@ -146,21 +146,19 @@ def _refine_crossings(
     n = len(p0)
     lo = np.zeros(n)
     hi = np.ones(n)
-    f0 = fn(p0[:, 0], p0[:, 1])
+    x0, y0 = p0[:, 0], p0[:, 1]
+    dx, dy = p1[:, 0] - x0, p1[:, 1] - y0
+    f0 = fn(x0, y0)
     s0 = np.where(np.isnan(f0), True, f0 >= 0)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        px = p0[:, 0] + mid * (p1[:, 0] - p0[:, 0])
-        py = p0[:, 1] + mid * (p1[:, 1] - p0[:, 1])
-        fm = fn(px, py)
+        fm = fn(x0 + mid * dx, y0 + mid * dy)
         sm = np.where(np.isnan(fm), False, fm >= 0)
         take_lo = sm == s0
         lo = np.where(take_lo, mid, lo)
         hi = np.where(take_lo, hi, mid)
     t = 0.5 * (lo + hi)
-    return np.column_stack(
-        [p0[:, 0] + t * (p1[:, 0] - p0[:, 0]), p0[:, 1] + t * (p1[:, 1] - p0[:, 1])]
-    )
+    return np.column_stack([x0 + t * dx, y0 + t * dy])
 
 
 def _march(
@@ -170,126 +168,113 @@ def _march(
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     skip_cells: np.ndarray | None,
     vertex_tol: float | None,
-) -> tuple[dict, list[tuple], int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Shared marching-squares core.
 
-    Returns (vertices keyed by cell-edge id, per-cell segments as key pairs,
-    number of crossing edges seen before tolerance filtering).
+    Every cell edge has an integer id: horizontal edge (ix, iy), from node
+    (ix, iy) to (ix+1, iy), is ix*ny + iy; vertical edge (ix, iy), from
+    (ix, iy) to (ix, iy+1), is H + ix*(ny-1) + iy, where H = (nx-1)*ny
+    counts the horizontal edges. Ids sort like the keys ("h"|"v", ix, iy).
+    Vertices come back in id order and cells are visited in (ix, iy) order;
+    _chain starts its walks from the lowest vertex index and steps to
+    neighbours in cell order, so this ordering fixes which chains come out,
+    their direction and their order, and with them the SVG bytes.
+
+    Returns (kept vertices as an (n, 2) array in id order, per-cell segments
+    as an (m, 2) array of vertex indices, number of crossing edges seen
+    before tolerance filtering).
     """
     ny, nx = values.shape
     valid = np.isfinite(values)
-    filled = np.where(valid, values, 1.0)
-    sign = filled >= 0
+    sign = np.where(valid, values, 1.0) >= 0
 
     h_cross = valid[:, :-1] & valid[:, 1:] & (sign[:, :-1] != sign[:, 1:])
     v_cross = valid[:-1, :] & valid[1:, :] & (sign[:-1, :] != sign[1:, :])
+    # nonzero over the transposes runs ix-major, i.e. in id order
+    hx, hy = np.nonzero(h_cross.T)
+    vx, vy = np.nonzero(v_cross.T)
+    total_crossings = len(hx) + len(vx)
+    if total_crossings == 0:
+        return np.zeros((0, 2)), np.zeros((0, 2), dtype=np.intp), 0
 
-    edges: list[tuple] = []
-    p0s: list[tuple[float, float]] = []
-    p1s: list[tuple[float, float]] = []
-    for iy, ix in zip(*np.nonzero(h_cross)):
-        edges.append(("h", int(ix), int(iy)))
-        p0s.append((xs[ix], ys[iy]))
-        p1s.append((xs[ix + 1], ys[iy]))
-    for iy, ix in zip(*np.nonzero(v_cross)):
-        edges.append(("v", int(ix), int(iy)))
-        p0s.append((xs[ix], ys[iy]))
-        p1s.append((xs[ix], ys[iy + 1]))
-    total_crossings = len(edges)
-    if not edges:
-        return {}, [], 0
+    n_h = (nx - 1) * ny
+    ids = np.concatenate([hx * ny + hy, n_h + vx * (ny - 1) + vy])
+    p0 = np.column_stack([xs[np.concatenate([hx, vx])], ys[np.concatenate([hy, vy])]])
+    p1 = np.column_stack([xs[np.concatenate([hx + 1, vx])], ys[np.concatenate([hy, vy + 1])]])
+    points = _refine_crossings(p0, p1, fn)
+    if vertex_tol is not None:
+        r = fn(points[:, 0], points[:, 1])
+        keep = np.isfinite(r) & (np.abs(r) <= vertex_tol)
+        ids, points = ids[keep], points[keep]
 
-    pts = _refine_crossings(np.array(p0s), np.array(p1s), fn)
-    vertices: dict = {}
-    for key, pt in zip(edges, pts):
-        if vertex_tol is not None:
-            r = float(fn(np.array([pt[0]]), np.array([pt[1]]))[0])
-            if not (math.isfinite(r) and abs(r) <= vertex_tol):
-                continue
-        vertices[key] = (float(pt[0]), float(pt[1]))
+    # vertex index of every cell edge, -1 where no vertex was kept
+    slot = np.full(n_h + nx * (ny - 1), -1, dtype=np.intp)
+    slot[ids] = np.arange(len(ids))
+    at_h = slot[:n_h].reshape(nx - 1, ny).T  # (ny, nx-1), [iy, ix]
+    at_v = slot[n_h:].reshape(nx, ny - 1).T  # (ny-1, nx)
+    have_h, have_v = at_h >= 0, at_v >= 0
+    kept = np.sum([have_h[:-1], have_v[:, 1:], have_h[1:], have_v[:, :-1]], axis=0)
+    live = (kept == 2) | (kept == 4)
+    live &= valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1] & valid[1:, 1:]
+    if skip_cells is not None:
+        live &= ~skip_cells
+    cx, cy = np.nonzero(live.T)  # (ix, iy) order
 
-    segments: list[tuple] = []
-    cells = set()
-    for iy, ix in zip(*np.nonzero(h_cross)):
-        if iy > 0:
-            cells.add((int(ix), int(iy) - 1))
-        if iy < ny - 1:
-            cells.add((int(ix), int(iy)))
-    for iy, ix in zip(*np.nonzero(v_cross)):
-        if ix > 0:
-            cells.add((int(ix) - 1, int(iy)))
-        if ix < nx - 1:
-            cells.add((int(ix), int(iy)))
+    # a cell's edges in key order: bottom, right, top, left
+    sides = np.column_stack([at_h[cy, cx], at_v[cy, cx + 1], at_h[cy + 1, cx], at_v[cy, cx]])
+    present = sides >= 0
+    rows = np.arange(len(sides))
+    first = sides[rows, present.argmax(axis=1)]
+    last = sides[rows, 3 - present[:, ::-1].argmax(axis=1)]
+    pairs = np.column_stack([first, last])
 
-    for ix, iy in sorted(cells):
-        if skip_cells is not None and skip_cells[iy, ix]:
-            continue
-        if not (valid[iy, ix] and valid[iy, ix + 1] and valid[iy + 1, ix] and valid[iy + 1, ix + 1]):
-            continue
-        cell_edges = [
-            k
-            for k in (
-                ("h", ix, iy),
-                ("v", ix + 1, iy),
-                ("h", ix, iy + 1),
-                ("v", ix, iy),
-            )
-            if k in vertices
-        ]
-        if len(cell_edges) == 2:
-            segments.append((cell_edges[0], cell_edges[1]))
-        elif len(cell_edges) == 4:
-            cx = 0.5 * (xs[ix] + xs[ix + 1])
-            cy = 0.5 * (ys[iy] + ys[iy + 1])
-            center = float(fn(np.array([cx]), np.array([cy]))[0])
-            center_sign = (not math.isnan(center)) and center >= 0
-            if center_sign == bool(sign[iy, ix]):
-                # corners across the other diagonal are isolated
-                segments.append((("h", ix, iy), ("v", ix + 1, iy)))
-                segments.append((("h", ix, iy + 1), ("v", ix, iy)))
-            else:
-                segments.append((("h", ix, iy), ("v", ix, iy)))
-                segments.append((("h", ix, iy + 1), ("v", ix + 1, iy)))
-    return vertices, segments, total_crossings
+    saddle = np.nonzero(kept[cy, cx] == 4)[0]
+    sx, sy = cx[saddle], cy[saddle]
+    centre = fn(0.5 * (xs[sx] + xs[sx + 1]), 0.5 * (ys[sy] + ys[sy + 1]))
+    # same sign as the lower-left corner: the corners across the other
+    # diagonal are isolated
+    same = np.where(np.isnan(centre), False, centre >= 0) == sign[sy, sx]
+    _, right, top, left = sides[saddle].T
+    pairs[saddle, 1] = np.where(same, right, left)
+    second = np.column_stack([top, np.where(same, left, right)])
+    # each saddle's second segment directly after its first
+    cell_of = np.concatenate([rows, saddle])
+    segments = np.concatenate([pairs, second])[np.argsort(cell_of, kind="stable")]
+    return points, segments, total_crossings
 
 
-def _chain(vertices: dict, segments: list[tuple]) -> tuple[np.ndarray, ...]:
-    """Join per-cell segments into polylines (open chains first, then loops)."""
-    adjacency: dict = {k: [] for k in vertices}
-    for a, b in segments:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    unused = {tuple(sorted((a, b))) for a, b in segments}
-    polylines: list[np.ndarray] = []
+def _chain(points: np.ndarray, segments: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Join per-cell segments into polylines (open chains first, then loops).
 
-    def walk(start):
+    Walks start from the lowest vertex index and take the first unused
+    neighbour in segment order; with _march's id and cell ordering this
+    reproduces the chains of the tuple-keyed walk exactly.
+    """
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(len(points))]
+    for s, (a, b) in enumerate(segments.tolist()):
+        neighbours[a].append((b, s))
+        neighbours[b].append((a, s))
+    used = [False] * len(segments)
+
+    def walk(start: int) -> list[int]:
         chain = [start]
-        current = start
         while True:
-            nxt = None
-            for nb in adjacency[current]:
-                key = tuple(sorted((current, nb)))
-                if key in unused:
-                    unused.discard(key)
-                    nxt = nb
+            for nb, s in neighbours[chain[-1]]:
+                if not used[s]:
+                    used[s] = True
+                    chain.append(nb)
                     break
-            if nxt is None:
-                break
-            chain.append(nxt)
-            current = nxt
-        return chain
+            else:
+                return chain
 
-    open_starts = sorted(k for k in adjacency if len(adjacency[k]) == 1)
-    for start in open_starts:
-        if any(tuple(sorted((start, nb))) in unused for nb in adjacency[start]):
-            chain = walk(start)
-            if len(chain) > 1:
-                polylines.append(np.array([vertices[k] for k in chain]))
-    for start in sorted(adjacency):
-        while any(tuple(sorted((start, nb))) in unused for nb in adjacency[start]):
-            chain = walk(start)
-            if len(chain) > 1:
-                polylines.append(np.array([vertices[k] for k in chain]))
+    open_starts = [k for k, nbs in enumerate(neighbours) if len(nbs) == 1]
+    polylines: list[np.ndarray] = []
+    for start in open_starts + list(range(len(points))):
+        # a vertex has at most two segments and every walk runs from one
+        # end of an open chain to the other, or once round a loop, so a
+        # vertex's segments are either all used or all unused here
+        if neighbours[start] and not used[neighbours[start][0][1]]:
+            polylines.append(points[walk(start)])
     return tuple(polylines)
 
 
@@ -328,10 +313,10 @@ def extract_bisector(
     xs, ys = grid.xs(), grid.ys()
     values = fn(*np.meshgrid(xs, ys))
     skip = _endpoint_cells(grid, (s1, s2))
-    vertices, segments, crossings = _march(values, xs, ys, fn, skip, tol)
-    if crossings == 0 or not vertices:
+    points, segments, crossings = _march(values, xs, ys, fn, skip, tol)
+    if crossings == 0 or not len(points):
         raise EmptyResult("angle gap has no sign change on the grid")
-    polylines = _chain(vertices, segments)
+    polylines = _chain(points, segments)
     if not polylines:
         raise EmptyResult("no bisector polyline survived refinement")
     return PolyLineSet(polylines)
@@ -343,8 +328,8 @@ def implicit_polylines(p: BivariatePoly, grid: GridSpec) -> PolyLineSet:
     fn = _poly_field(p)
     xs, ys = grid.xs(), grid.ys()
     values = fn(*np.meshgrid(xs, ys))
-    vertices, segments, _ = _march(values, xs, ys, fn, None, None)
-    return PolyLineSet(_chain(vertices, segments))
+    points, segments, _ = _march(values, xs, ys, fn, None, None)
+    return PolyLineSet(_chain(points, segments))
 
 
 def rasterize_diagram(
@@ -362,14 +347,23 @@ def rasterize_diagram(
             rev = (a.e0, a.e1) == (b.e1, b.e0)
             if fwd or rev:
                 raise ValueError("sites must be pairwise distinct")
-    xs, ys = grid.xs(), grid.ys()
-    X, Y = np.meshgrid(xs, ys)
-    angles = np.stack([_segment_angles(X, Y, s) for s in sites])
-    invalid = np.isnan(angles).any(axis=0)
-    filled = np.where(np.isnan(angles), np.inf, angles)
-    order = np.sort(filled, axis=0)
-    labels = np.argmin(filled, axis=0).astype(int)
-    ties = (order[1] - order[0]) <= tie_tol
+    X, Y = np.meshgrid(grid.xs(), grid.ys())
+    # running smallest and second smallest angle; a strict < keeps the
+    # lowest site index on exact ties
+    best = np.full(X.shape, np.inf)
+    second = best.copy()
+    labels = np.zeros(X.shape, dtype=int)
+    invalid = np.zeros(X.shape, dtype=bool)
+    for k, s in enumerate(sites):
+        a = _segment_angles(X, Y, s)
+        nan = np.isnan(a)
+        invalid |= nan
+        a[nan] = np.inf
+        closer = a < best
+        second = np.minimum(second, np.where(closer, best, a))
+        best = np.where(closer, a, best)
+        labels[closer] = k
+    ties = (second - best) <= tie_tol
     labels[ties | invalid] = BOUNDARY_LABEL
     return LabeledRaster(grid, labels)
 
@@ -469,8 +463,7 @@ def validate_curve(
     xs, ys = grid.xs(), grid.ys()
     fn_poly = _poly_field(p_conv)
     values = fn_poly(*np.meshgrid(xs, ys))
-    vertices, _unused_segments, _ = _march(values, xs, ys, fn_poly, None, None)
-    samples = np.array(list(vertices.values())) if vertices else np.zeros((0, 2))
+    samples, _, _ = _march(values, xs, ys, fn_poly, None, None)
 
     if len(oracle_vertices) == 0 and len(samples) == 0:
         raise EmptyResult("neither locus intersects the window")

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from avd import CanonicalConfig, GridSpec, build_edge
-from avd.classify import DegreeOneAnomaly
+from avd.classify import DegenerateJet, DegreeOneAnomaly, SharedComponent
 from avd.cli import (
     EXIT_ANOMALY,
     EXIT_BAD_CONFIG,
@@ -121,6 +121,17 @@ class TestEdgeCommand:
 
         monkeypatch.setattr(cli_mod, "build_report", boom)
         assert main(["edge", pair_config]) == EXIT_ANOMALY
+
+    @pytest.mark.parametrize("error", [SharedComponent, DegenerateJet])
+    def test_classifier_errors_exit_code(self, error, pair_config, monkeypatch, capsys):
+        import avd.cli as cli_mod
+
+        def boom(curve, tol):
+            raise error("forced")
+
+        monkeypatch.setattr(cli_mod, "classify_edge", boom)
+        assert main(["edge", pair_config]) == EXIT_ANOMALY
+        assert capsys.readouterr().err == "error: forced\n"
 
     def test_svg_deterministic(self, canonical_config_file, tmp_path, capsys):
         a = tmp_path / "a.svg"

@@ -127,6 +127,26 @@ class TestExtractBisector:
             assert np.hypot(*(fine - pt).T).min() <= coarse_diag
 
 
+class TestImplicitPolylines:
+    @pytest.mark.parametrize("c, quadrants", [(0.01, {(-1, 1), (1, -1)}),
+                                              (-0.01, {(1, 1), (-1, -1)})])
+    def test_saddle_cell_pairing_follows_centre_sign(self, c, quadrants):
+        # the central cell of this 4x4 grid is a saddle: all four of its
+        # edges cross, and only the sign at its centre tells the two
+        # branches of the hyperbola x*y = -c apart
+        from avd import BivariatePoly
+
+        p = BivariatePoly.from_terms({(1, 1): 1.0, (0, 0): c})
+        pls = implicit_polylines(p, GridSpec(-1.5, 1.5, -1.5, 1.5, 4, 4)).polylines
+        assert len(pls) == 2
+        seen = set()
+        for pl in pls:
+            signs = {(int(np.sign(x)), int(np.sign(y))) for x, y in pl}
+            assert len(signs) == 1
+            seen |= signs
+        assert seen == quadrants
+
+
 class TestRasterize:
     def test_two_parallel_sites_split_plane(self):
         grid = GridSpec.square(6.0, 128)
@@ -205,6 +225,31 @@ class TestRasterize:
         grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3)  # node exactly at (1, 0)
         raster = rasterize_diagram([S1, PARALLEL], grid)
         assert raster.labels[1, 2] == BOUNDARY_LABEL
+
+    def test_mirror_ties_on_node_column(self):
+        # sites mirrored in the y axis see every node on x = 0 at exactly
+        # the same angle; the grid has a node column there
+        left = Segment.of((-2.0, 0.5), (-1.0, 1.5))
+        right = Segment.of((2.0, 0.5), (1.0, 1.5))
+        grid = GridSpec(-4.0, 4.0, -4.0, 4.0, 65, 65)
+        assert grid.xs()[32] == 0.0
+        labels = rasterize_diagram([left, right], grid).labels
+        assert (labels[:, 32] == BOUNDARY_LABEL).all()
+        swapped = np.where(labels >= 0, 1 - labels, labels)
+        assert np.array_equal(swapped[:, ::-1], labels)
+
+    def test_three_way_tie_takes_lower_index(self):
+        # quarter turns of one segment about the origin: sites 1, 2 and 3
+        # see the origin at exactly pi/4, site 0 at pi/2
+        sites = [
+            Segment.of((-0.5, -0.5), (0.5, -0.5)),
+            Segment.of((1.0, 0.0), (1.0, 1.0)),
+            Segment.of((0.0, 1.0), (-1.0, 1.0)),
+            Segment.of((-1.0, 0.0), (-1.0, -1.0)),
+        ]
+        grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 5, 5)  # node (2, 2) is the origin
+        assert rasterize_diagram(sites, grid).labels[2, 2] == BOUNDARY_LABEL
+        assert rasterize_diagram(sites, grid, tie_tol=-1.0).labels[2, 2] == 1
 
 
 class TestValidateCurve:
