@@ -15,7 +15,6 @@ from .geometry import (
     Point,
     Segment,
     SimilarityTransform,
-    apply_transform,
     canonicalize,
     visual_angle,
 )
@@ -23,7 +22,6 @@ from .poly import (
     BivariatePoly,
     ZeroPolynomial,
     effective_degree,
-    evaluate,
     gradient,
     normalize,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "ValidationReport",
     "ZeroPolynomial",
     "angle_gap",
-    "apply_transform",
     "build_edge",
     "canonicalize",
     "classify_edge",
@@ -103,7 +100,6 @@ __all__ = [
     "classify_singularity",
     "detect_geometric_degeneracy",
     "effective_degree",
-    "evaluate",
     "extract_bisector",
     "factor_circle_line",
     "find_singularities",

@@ -19,7 +19,16 @@ from numpy.polynomial import polynomial as npoly
 
 from .edge import EdgeCurve
 from .geometry import Point, Segment
-from .poly import BivariatePoly, effective_degree, normalize, poly_mul
+from .poly import BivariatePoly, derivative, effective_degree, normalize, poly_mul
+from .tolerances import (
+    CUSP_BAND,
+    FACTOR_TOL,
+    HESSIAN_FLOOR,
+    MERGE_RADIUS,
+    POLISH_STEPS,
+    PREDICATE_TOL,
+    ROUNDING_ULPS,
+)
 
 __all__ = [
     "Circle",
@@ -161,7 +170,7 @@ class DegeneracyPredicate:
 
 
 def factor_circle_line(
-    f: BivariatePoly, tol: float = 1e-8
+    f: BivariatePoly, tol: float = FACTOR_TOL
 ) -> Optional[tuple[Circle, Line]]:
     """Try to split a cubic into (x^2 + y^2 + a4*y + a5*x + a6)(b1*y + b2*x + b3).
 
@@ -217,14 +226,12 @@ def factor_circle_line(
 # singularities
 
 
-def classify_singularity(
-    f: BivariatePoly, p: Point, tol: float = 1e-7
-) -> SingularityKind:
+def classify_singularity(f: BivariatePoly, p: Point) -> SingularityKind:
     """Type a singular point from the Hessian discriminant
     D = f_xy^2 - f_xx*f_yy: positive gives two real tangent branches (node),
-    negative no real branch (isolated point), and the tolerance band around
-    zero a shared tangent (cusp). The band is a classification resolution,
-    not a claim of exactness.
+    negative no real branch (isolated point), and the band of CUSP_BAND
+    times |H|^2 around zero a shared tangent (cusp). The band is a
+    classification resolution, not a claim of exactness.
 
     Raises:
         DegenerateJet: the whole Hessian vanishes at p.
@@ -232,27 +239,15 @@ def classify_singularity(
     f = normalize(f)
     fxx, fxy, fyy = f.second_partials_at(p)
     hnorm_sq = fxx * fxx + 2.0 * fxy * fxy + fyy * fyy
-    if hnorm_sq <= 1e-16:
+    if hnorm_sq <= HESSIAN_FLOOR:
         raise DegenerateJet(f"all second partials vanish at ({p.x}, {p.y})")
     disc = fxy * fxy - fxx * fyy
-    if disc > tol * hnorm_sq:
+    if disc > CUSP_BAND * hnorm_sq:
         return SingularityKind.NODE
-    if disc < -tol * hnorm_sq:
+    if disc < -CUSP_BAND * hnorm_sq:
         return SingularityKind.ISOLATED_POINT
     return SingularityKind.CUSP
 
-
-#: A computed value counts as zero when its magnitude is within this many
-#: machine epsilons of the sum of absolute terms that produced it, e.g.
-#: sum |c_ij| |x|^i |y|^j for a polynomial evaluated at (x, y). That sum
-#: bounds the rounding error of the evaluation, so the test is scale-free.
-ROUNDING_ULPS = 64.0
-
-#: Newton steps that polish each elimination candidate.
-_POLISH_STEPS = 4
-
-#: Accepted points closer than this times max(1, |p|) are one singular point.
-_MERGE_RADIUS = 1e-6
 
 _EPS = float(np.finfo(float).eps)
 
@@ -286,13 +281,13 @@ def _resultant_y(cx: np.ndarray, cy: np.ndarray, sign: float = -1.0) -> np.ndarr
     return np.ones(1)
 
 
-def _polish(f: BivariatePoly, p: Point) -> Point:
-    """A few Newton steps on (f_x, f_y) = 0 from p. Stops early where the
+def _polish(derivs: np.ndarray, p: Point) -> Point:
+    """A few Newton steps on (f_x, f_y) = 0 from p; derivs stacks the tables
+    of f_x, f_y, f_xx, f_xy, f_yy on its last axis. Stops early where the
     Hessian is singular (a cusp candidate that is already exact) or a step
     leaves the floats; acceptance, not this function, decides the result."""
-    for _ in range(_POLISH_STEPS):
-        gx, gy = f.gradient_at(p)
-        hxx, hxy, hyy = f.second_partials_at(p)
+    for _ in range(POLISH_STEPS):
+        gx, gy, hxx, hxy, hyy = (float(v) for v in npoly.polyval2d(p.x, p.y, derivs))
         det = hxx * hyy - hxy * hxy
         if det == 0.0:
             break
@@ -315,7 +310,7 @@ def find_singularities(f: BivariatePoly) -> list[SingularPoint]:
     candidates, so two singular points with the same x are both found. Each
     candidate gets a few Newton steps on (f_x, f_y) = 0 and is accepted when
     f, f_x and f_y each vanish within ROUNDING_ULPS epsilons of their own
-    sum |c_ij| |x|^i |y|^j. Accepted points within _MERGE_RADIUS * max(1, |p|)
+    sum |c_ij| |x|^i |y|^j. Accepted points within MERGE_RADIUS * max(1, |p|)
     of an earlier one are dropped. The search has no window, so a singular
     point is found however far out it lies.
 
@@ -344,12 +339,15 @@ def find_singularities(f: BivariatePoly) -> list[SingularPoint]:
             Point(float(x0), float(y0)) for c in in_y for y0 in npoly.polyroots(c).real
         ]
 
+    derivs = np.stack(
+        [cx, cy, derivative(cx, 0), derivative(cx, 1), derivative(cy, 1)], axis=-1
+    )
     found: list[Point] = []
     for p in candidates:
-        p = _polish(f, p)
+        p = _polish(derivs, p)
         if not all(_vanishes_at(c, p) for c in (f.coeffs, cx, cy)):
             continue
-        radius = _MERGE_RADIUS * max(1.0, math.hypot(p.x, p.y))
+        radius = MERGE_RADIUS * max(1.0, math.hypot(p.x, p.y))
         if any(math.hypot(p.x - q.x, p.y - q.y) <= radius for q in found):
             continue
         found.append(p)
@@ -387,14 +385,7 @@ def _recover_conic_parameters(f: BivariatePoly, tol: float) -> tuple[float, floa
     return (-0.5 * B / sigma, A / sigma, sigma)
 
 
-@dataclass(frozen=True)
-class QuadClassification:
-    tag: EdgeClassTag
-    lines: Optional[tuple[Line, Line]] = None
-    hyperbola: Optional[Hyperbola] = None
-
-
-def classify_quadratic(f: BivariatePoly, tol: float = 1e-8) -> QuadClassification:
+def classify_quadratic(f: BivariatePoly, tol: float = FACTOR_TOL) -> EdgeClass:
     """Split the degree-2 edge family into an orthogonal line pair or an
     orthogonal (rectangular) hyperbola.
 
@@ -411,7 +402,7 @@ def classify_quadratic(f: BivariatePoly, tol: float = 1e-8) -> QuadClassificatio
             raise NotFromEdge("conic vanishes for a = b = 0")
         horizontal = Line.normalized(1.0, 0.0, 0.0)
         vertical = Line.normalized(0.0, 2.0 * a, -rr)
-        return QuadClassification(
+        return EdgeClass(
             EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES, lines=(horizontal, vertical)
         )
 
@@ -437,9 +428,9 @@ def classify_quadratic(f: BivariatePoly, tol: float = 1e-8) -> QuadClassificatio
             Line.normalized(-mu_pos, 1.0, 0.5 * (mu_pos * b - a)),
             Line.normalized(-mu_neg, 1.0, 0.5 * (mu_neg * b - a)),
         )
-        return QuadClassification(EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES, lines=lines)
+        return EdgeClass(EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES, lines=lines)
     axes = (_unit(d1[0] + d2[0], d1[1] + d2[1]), _unit(d1[0] - d2[0], d1[1] - d2[1]))
-    return QuadClassification(
+    return EdgeClass(
         EdgeClassTag.QUAD_IRREDUCIBLE_HYPERBOLA,
         hyperbola=Hyperbola(center, (d1, d2), axes),
     )
@@ -454,7 +445,7 @@ def _unit(x: float, y: float) -> tuple[float, float]:
 # full cascade
 
 
-def classify_edge(curve: EdgeCurve, tol: float = 1e-8) -> EdgeClass:
+def classify_edge(curve: EdgeCurve, tol: float = FACTOR_TOL) -> EdgeClass:
     """Table-style classification of the curve's own labeling branch.
 
     Degree 3: try the circle-times-line split; otherwise the cubic is
@@ -481,8 +472,7 @@ def classify_edge(curve: EdgeCurve, tol: float = 1e-8) -> EdgeClass:
             )
         return EdgeClass(EdgeClassTag.CUBIC_IRREDUCIBLE_REGULAR)
     if deg == 2:
-        quad = classify_quadratic(poly, tol)
-        return EdgeClass(quad.tag, lines=quad.lines, hyperbola=quad.hyperbola)
+        return classify_quadratic(poly, tol)
     raise DegreeOneAnomaly(
         f"edge polynomial has effective degree {deg}; valid pairs never produce this"
     )
@@ -490,12 +480,6 @@ def classify_edge(curve: EdgeCurve, tol: float = 1e-8) -> EdgeClass:
 
 # ---------------------------------------------------------------------------
 # geometric degeneracy predicates
-
-
-def _unit_dir(s: Segment) -> tuple[float, float]:
-    dx, dy = s.e1.x - s.e0.x, s.e1.y - s.e0.y
-    n = math.hypot(dx, dy)
-    return (dx / n, dy / n)
 
 
 def _concyclicity(points: list[Point]) -> float:
@@ -540,10 +524,9 @@ def _line_intersection(
     return Point(p.x + t * d1[0], p.y + t * d1[1])
 
 
-def detect_geometric_degeneracy(
-    s1: Segment, s2: Segment, tol: float = 1e-9
-) -> list[DegeneracyPredicate]:
-    """Evaluate the segment-pair configurations known to degenerate the edge.
+def detect_geometric_degeneracy(s1: Segment, s2: Segment) -> list[DegeneracyPredicate]:
+    """Evaluate the segment-pair configurations known to degenerate the edge,
+    each within PREDICATE_TOL.
 
     All applicable predicates are reported; classification consumes the
     polynomial, not this list.
@@ -553,14 +536,15 @@ def detect_geometric_degeneracy(
         1.0,
         max(math.hypot(p.x - q.x, p.y - q.y) for p in pts for q in pts),
     )
+    dist_tol = PREDICATE_TOL * unit
     out: list[DegeneracyPredicate] = []
 
     len1, len2 = s1.length, s2.length
-    equal_len = abs(len1 - len2) <= tol * unit
-    d1 = _unit_dir(s1)
-    d2 = _unit_dir(s2)
+    equal_len = abs(len1 - len2) <= dist_tol
+    d1 = _unit(s1.e1.x - s1.e0.x, s1.e1.y - s1.e0.y)
+    d2 = _unit(s2.e1.x - s2.e0.x, s2.e1.y - s2.e0.y)
 
-    if equal_len and abs(_concyclicity(pts)) <= 100.0 * tol:
+    if equal_len and abs(_concyclicity(pts)) <= 100.0 * PREDICATE_TOL:
         witness: dict[str, float] = {"length": len1}
         for triple in ((0, 1, 2), (0, 1, 3), (0, 2, 3)):
             circ = _circumcircle(*(pts[i] for i in triple))
@@ -580,7 +564,7 @@ def detect_geometric_degeneracy(
             continue
         dac = _unit(C.x - A.x, C.y - A.y)
         dbd = _unit(D.x - B.x, D.y - B.y)
-        if abs(dac[0] * dbd[0] + dac[1] * dbd[1]) > tol:
+        if abs(dac[0] * dbd[0] + dac[1] * dbd[1]) > PREDICATE_TOL:
             continue
         o = _line_intersection(A, C, B, D)
         if o is None:
@@ -593,7 +577,7 @@ def detect_geometric_degeneracy(
             ("first", ao, co, bo, do),
             ("second", bo, do, ao, co),
         ):
-            if abs(u_len - v_len) <= tol * unit and abs(w_len - z_len) > tol * unit:
+            if abs(u_len - v_len) <= dist_tol and abs(w_len - z_len) > dist_tol:
                 out.append(
                     DegeneracyPredicate(
                         PredicateTag.ORTHOGONAL_CROSS_EQUAL_HALF,
@@ -615,7 +599,7 @@ def detect_geometric_degeneracy(
         return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
 
     collinear = all(
-        abs(_orient(s1.e0, s1.e1, q)) <= tol * unit * unit for q in s2.endpoints
+        abs(_orient(s1.e0, s1.e1, q)) <= dist_tol * unit for q in s2.endpoints
     )
     if collinear and not equal_len:
         out.append(
@@ -628,7 +612,7 @@ def detect_geometric_degeneracy(
     shared = None
     for p in s1.endpoints:
         for q in s2.endpoints:
-            if math.hypot(p.x - q.x, p.y - q.y) <= tol * unit:
+            if math.hypot(p.x - q.x, p.y - q.y) <= dist_tol:
                 shared = p
                 break
         if shared:
@@ -640,7 +624,7 @@ def detect_geometric_degeneracy(
             )
         )
 
-    if equal_len and abs(d1[0] * d2[1] - d1[1] * d2[0]) <= tol:
+    if equal_len and abs(d1[0] * d2[1] - d1[1] * d2[0]) <= PREDICATE_TOL:
         m1, m2 = s1.midpoint, s2.midpoint
         out.append(
             DegeneracyPredicate(
@@ -654,11 +638,11 @@ def detect_geometric_degeneracy(
         )
 
     same_fwd = all(
-        math.hypot(p.x - q.x, p.y - q.y) <= tol * unit
+        math.hypot(p.x - q.x, p.y - q.y) <= dist_tol
         for p, q in zip(s1.endpoints, s2.endpoints)
     )
     same_rev = all(
-        math.hypot(p.x - q.x, p.y - q.y) <= tol * unit
+        math.hypot(p.x - q.x, p.y - q.y) <= dist_tol
         for p, q in zip(s1.endpoints, reversed(s2.endpoints))
     )
     if same_fwd or same_rev:

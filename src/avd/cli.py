@@ -1,11 +1,13 @@
 """Command-line surface.
 
-    avd edge <config.json> [--svg out.svg] [--out report.json] [--tol T]
+    avd edge <config.json> [--svg out.svg] [--out report.json]
     avd diagram <config.json> --svg out.svg
     avd verify [--only NAME] [--seed N]
 
 Configs are JSON: {"segments": [[[x,y],[x,y]], ...]} with optional "grid"
-and "tolerances" objects; an edge run may instead supply {"canonical":
+and "tolerances" objects; "tolerances" may set "factor", "angle" and
+"containment", whose defaults are FACTOR_TOL, ANGLE_TOL and CONTAINMENT_TOL
+in avd/tolerances.py. An edge run may instead supply {"canonical":
 {"a":..,"b":..,"l":..,"sin_alpha":..,"cos_alpha":..}} so exact rational
 direction cosines are expressible. Exit codes: 2 malformed config, 3
 identical segments, 4 internal anomaly (a degree-1 edge, a cubic whose
@@ -42,6 +44,7 @@ from .oracle import (
 )
 from .poly import GRLEX_ORDER, normalize
 from .svg import render_diagram, render_edge_scene
+from .tolerances import ANGLE_TOL, CONTAINMENT_TOL, FACTOR_TOL
 from .verify import DEFAULT_SEED, run_all
 
 EXIT_OK = 0
@@ -255,9 +258,9 @@ def cmd_edge(args) -> int:
         config = canonicalize(scene.segments[0], scene.segments[1])
 
     curve = build_edge(config)
-    tol = float(args.tol if args.tol is not None else scene.tolerances.get("factor", 1e-8))
-    angle_tol = float(scene.tolerances.get("angle", 1e-6))
-    containment_tol = float(scene.tolerances.get("containment", 1e-5))
+    tol = float(scene.tolerances.get("factor", FACTOR_TOL))
+    angle_tol = float(scene.tolerances.get("angle", ANGLE_TOL))
+    containment_tol = float(scene.tolerances.get("containment", CONTAINMENT_TOL))
     grid = scene.grid or GridSpec.canonical_window(config, 256)
 
     report = build_report(curve, grid, tol, angle_tol, containment_tol)
@@ -346,7 +349,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_edge.add_argument("config", help="JSON scene with exactly 2 segments")
     p_edge.add_argument("--svg", help="write an overlay SVG here")
     p_edge.add_argument("--out", help="write the JSON report here instead of stdout")
-    p_edge.add_argument("--tol", type=float, default=None, help="classification tolerance")
     p_edge.set_defaults(fn=cmd_edge)
 
     p_diag = sub.add_parser("diagram", help="rasterize an n-site angular Voronoi diagram")

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .tolerances import COINCIDENCE_TOL, UNIT_CIRCLE_TOL
+
 
 class EndpointQuery(ValueError):
     """Raised when a visual angle is requested at a segment endpoint."""
@@ -118,11 +120,6 @@ class SimilarityTransform:
         )
 
 
-def apply_transform(t: SimilarityTransform, p: Point) -> Point:
-    """Apply a similarity transform to a point."""
-    return t(p)
-
-
 def _wrap_angle(theta: float) -> float:
     """Wrap to (-pi, pi]."""
     w = math.remainder(theta, 2.0 * math.pi)
@@ -152,7 +149,7 @@ class CanonicalConfig:
         if not self.l > 0:
             raise ValueError("l must be positive")
         norm = self.sin_alpha**2 + self.cos_alpha**2
-        if abs(norm - 1.0) > 1e-9:
+        if abs(norm - 1.0) > UNIT_CIRCLE_TOL:
             raise ValueError("sin_alpha, cos_alpha must lie on the unit circle")
 
     @classmethod
@@ -220,7 +217,7 @@ def _points_match(p: Point, q: Point, tol: float) -> bool:
     return abs(p.x - q.x) <= tol and abs(p.y - q.y) <= tol
 
 
-def canonicalize(s1: Segment, s2: Segment, *, tol: float = 1e-12) -> CanonicalConfig:
+def canonicalize(s1: Segment, s2: Segment) -> CanonicalConfig:
     """Map the pair (s1, s2) into the canonical frame.
 
     s1's first endpoint goes to (-1, 0) and its second to (1, 0). s2's
@@ -234,7 +231,7 @@ def canonicalize(s1: Segment, s2: Segment, *, tol: float = 1e-12) -> CanonicalCo
     scale_hint = max(
         abs(c) for p in (*s1.endpoints, *s2.endpoints) for c in (p.x, p.y)
     )
-    eq_tol = tol * max(1.0, scale_hint)
+    eq_tol = COINCIDENCE_TOL * max(1.0, scale_hint)
     same_fwd = _points_match(s1.e0, s2.e0, eq_tol) and _points_match(s1.e1, s2.e1, eq_tol)
     same_rev = _points_match(s1.e0, s2.e1, eq_tol) and _points_match(s1.e1, s2.e0, eq_tol)
     if same_fwd or same_rev:

@@ -19,6 +19,14 @@ import numpy as np
 from .edge import EdgeCurve
 from .geometry import Point, Segment, visual_angle
 from .poly import BivariatePoly, normalize
+from .tolerances import (
+    ANGLE_TOL,
+    BISECTION_STEPS,
+    CARRIER_LINE_TOL,
+    CONTAINMENT_TOL,
+    GAP_VERTEX_TOL,
+    TIE_TOL,
+)
 
 __all__ = [
     "GridSpec",
@@ -60,7 +68,7 @@ class GridSpec:
         return cls(-half_width, half_width, -half_width, half_width, n, n)
 
     @classmethod
-    def canonical_window(cls, config, n: int = 512) -> "GridSpec":
+    def canonical_window(cls, config, n: int) -> "GridSpec":
         """Default [-6, 6]^2 window scaled up when the configuration is big."""
         s = max(1.0, 0.5 * (abs(config.a) + abs(config.b) + config.l))
         return cls.square(6.0 * s, n)
@@ -136,9 +144,8 @@ def _refine_crossings(
     p0: np.ndarray,
     p1: np.ndarray,
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    iters: int = 60,
 ) -> np.ndarray:
-    """Bisect fn's zero along each bracket [p0_i, p1_i].
+    """Bisect fn's zero along each bracket [p0_i, p1_i], BISECTION_STEPS times.
 
     The sign convention treats exact zeros as positive, matching the grid
     classification, so a zero-valued node is itself a legal bracket end.
@@ -150,7 +157,7 @@ def _refine_crossings(
     dx, dy = p1[:, 0] - x0, p1[:, 1] - y0
     f0 = fn(x0, y0)
     s0 = np.where(np.isnan(f0), True, f0 >= 0)
-    for _ in range(iters):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         fm = fn(x0 + mid * dx, y0 + mid * dy)
         sm = np.where(np.isnan(fm), False, fm >= 0)
@@ -296,15 +303,14 @@ def _endpoint_cells(grid: GridSpec, segments: Sequence[Segment]) -> np.ndarray:
     return mask
 
 
-def extract_bisector(
-    s1: Segment, s2: Segment, grid: GridSpec, tol: float = 1e-10
-) -> PolyLineSet:
+def extract_bisector(s1: Segment, s2: Segment, grid: GridSpec) -> PolyLineSet:
     """Equal-visual-angle locus as polylines.
 
     Marching squares on the sign of the angle gap; every cell-edge crossing
-    is sharpened by bisection until the gap magnitude is at most tol. Cells
-    containing a segment endpoint are skipped (the gap is discontinuous
-    there).
+    is sharpened by bisection and kept only where the gap there is at most
+    GAP_VERTEX_TOL, which drops the sign changes across the gap's jumps.
+    Cells containing a segment endpoint are skipped (the gap is
+    discontinuous there).
 
     Raises:
         EmptyResult: the gap never changes sign on the grid.
@@ -313,7 +319,7 @@ def extract_bisector(
     xs, ys = grid.xs(), grid.ys()
     values = fn(*np.meshgrid(xs, ys))
     skip = _endpoint_cells(grid, (s1, s2))
-    points, segments, crossings = _march(values, xs, ys, fn, skip, tol)
+    points, segments, crossings = _march(values, xs, ys, fn, skip, GAP_VERTEX_TOL)
     if crossings == 0 or not len(points):
         raise EmptyResult("angle gap has no sign change on the grid")
     polylines = _chain(points, segments)
@@ -325,18 +331,15 @@ def extract_bisector(
 def implicit_polylines(p: BivariatePoly, grid: GridSpec) -> PolyLineSet:
     """Zero set of a polynomial as polylines (marching squares, crossings
     refined by bisection on the polynomial). Empty set if no sign change."""
-    fn = _poly_field(p)
     xs, ys = grid.xs(), grid.ys()
-    values = fn(*np.meshgrid(xs, ys))
-    points, segments, _ = _march(values, xs, ys, fn, None, None)
+    values = p(*np.meshgrid(xs, ys))
+    points, segments, _ = _march(values, xs, ys, p, None, None)
     return PolyLineSet(_chain(points, segments))
 
 
-def rasterize_diagram(
-    sites: Sequence[Segment], grid: GridSpec, tie_tol: float = 1e-12
-) -> LabeledRaster:
+def rasterize_diagram(sites: Sequence[Segment], grid: GridSpec) -> LabeledRaster:
     """Label every grid node with the index of the site it sees at the
-    smallest visual angle. Ties within tie_tol and nodes sitting on a site
+    smallest visual angle. Ties within TIE_TOL and nodes sitting on a site
     endpoint get the boundary label.
     """
     if len(sites) < 2:
@@ -363,7 +366,7 @@ def rasterize_diagram(
         second = np.minimum(second, np.where(closer, best, a))
         best = np.where(closer, a, best)
         labels[closer] = k
-    ties = (second - best) <= tie_tol
+    ties = (second - best) <= TIE_TOL
     labels[ties | invalid] = BOUNDARY_LABEL
     return LabeledRaster(grid, labels)
 
@@ -414,12 +417,6 @@ class ValidationReport:
         }
 
 
-def _poly_field(p: BivariatePoly) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    def fn(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return p(X, Y)
-    return fn
-
-
 def _carrier_line_nodes(grid: GridSpec, segments: Sequence[Segment]) -> int:
     """Grid nodes lying on a site's carrier line, where the visual angle sits
     at an extreme value (0 or pi). Counted and reported, processed normally."""
@@ -430,15 +427,15 @@ def _carrier_line_nodes(grid: GridSpec, segments: Sequence[Segment]) -> int:
         dx, dy = s.e1.x - s.e0.x, s.e1.y - s.e0.y
         norm = math.hypot(dx, dy)
         dist = ((X - s.e0.x) * dy - (Y - s.e0.y) * dx) / norm
-        on_any |= np.abs(dist) <= 1e-9 * max(1.0, norm)
+        on_any |= np.abs(dist) <= CARRIER_LINE_TOL * max(1.0, norm)
     return int(on_any.sum())
 
 
 def validate_curve(
     curve: EdgeCurve,
     grid: GridSpec,
-    tol: float = 1e-6,
-    containment_tol: float = 1e-5,
+    tol: float = ANGLE_TOL,
+    containment_tol: float = CONTAINMENT_TOL,
 ) -> ValidationReport:
     """Check the edge polynomial against the brute-force locus on a window.
 
@@ -461,9 +458,8 @@ def validate_curve(
         notes.append("oracle locus missed the window or produced no sign change")
 
     xs, ys = grid.xs(), grid.ys()
-    fn_poly = _poly_field(p_conv)
-    values = fn_poly(*np.meshgrid(xs, ys))
-    samples, _, _ = _march(values, xs, ys, fn_poly, None, None)
+    values = p_conv(*np.meshgrid(xs, ys))
+    samples, _, _ = _march(values, xs, ys, p_conv, None, None)
 
     if len(oracle_vertices) == 0 and len(samples) == 0:
         raise EmptyResult("neither locus intersects the window")

@@ -10,6 +10,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .geometry import Point
+from .tolerances import DEGREE_TOL
 
 MAX_DEGREE = 3
 
@@ -71,61 +72,41 @@ class BivariatePoly:
 
     def partial_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Coefficient tables of df/dx and df/dy (exact differentiation)."""
-        cx = np.zeros((4, 4))
-        cy = np.zeros((4, 4))
-        cx[:3, :] = self._c[1:, :] * np.arange(1, 4)[:, None]
-        cy[:, :3] = self._c[:, 1:] * np.arange(1, 4)[None, :]
-        return cx, cy
-
-    def gradient_at(self, p: Point) -> tuple[float, float]:
-        cx, cy = self.partial_arrays()
-        return (
-            float(npoly.polyval2d(p.x, p.y, cx)),
-            float(npoly.polyval2d(p.x, p.y, cy)),
-        )
+        return derivative(self._c, 0), derivative(self._c, 1)
 
     def second_partials_at(self, p: Point) -> tuple[float, float, float]:
         """(f_xx, f_xy, f_yy) at p."""
         cx, cy = self.partial_arrays()
-        cxx = np.zeros((4, 4))
-        cxy = np.zeros((4, 4))
-        cyy = np.zeros((4, 4))
-        cxx[:3, :] = cx[1:, :] * np.arange(1, 4)[:, None]
-        cxy[:, :3] = cx[:, 1:] * np.arange(1, 4)[None, :]
-        cyy[:, :3] = cy[:, 1:] * np.arange(1, 4)[None, :]
-        return (
-            float(npoly.polyval2d(p.x, p.y, cxx)),
-            float(npoly.polyval2d(p.x, p.y, cxy)),
-            float(npoly.polyval2d(p.x, p.y, cyy)),
+        return tuple(
+            float(npoly.polyval2d(p.x, p.y, c))
+            for c in (derivative(cx, 0), derivative(cx, 1), derivative(cy, 1))
         )
 
-    def effective_degree(self, tol: float = 1e-10) -> int:
-        return effective_degree(self, tol)
 
-    def normalized(self) -> "BivariatePoly":
-        return normalize(self)
-
-
-def evaluate(f: BivariatePoly, p: Point) -> float:
-    """Evaluate f at p (iterated Horner via polyval2d)."""
-    return float(f(p.x, p.y))
+def derivative(c: np.ndarray, axis: int) -> np.ndarray:
+    """Coefficient table of the partial derivative in x (axis 0) or y (axis 1)."""
+    out = np.zeros((4, 4))
+    if axis == 0:
+        out[:3, :] = c[1:, :] * np.arange(1, 4)[:, None]
+    else:
+        out[:, :3] = c[:, 1:] * np.arange(1, 4)[None, :]
+    return out
 
 
 def gradient(f: BivariatePoly, p: Point) -> tuple[float, float]:
     """(df/dx, df/dy) at p, from exact coefficient-wise differentiation."""
-    return f.gradient_at(p)
+    cx, cy = f.partial_arrays()
+    return (
+        float(npoly.polyval2d(p.x, p.y, cx)),
+        float(npoly.polyval2d(p.x, p.y, cy)),
+    )
 
 
-def effective_degree(f: BivariatePoly, tol: float = 1e-10) -> int:
-    """Largest total degree whose coefficients rise above tol * max|coeff|.
-
-    The threshold is relative because edge coefficients scale with the
-    configuration magnitudes.
-    """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+def effective_degree(f: BivariatePoly) -> int:
+    """Largest total degree whose coefficients rise above
+    DEGREE_TOL * max|coeff|."""
     c = np.abs(f.coeffs)
-    cutoff = tol * c.max()
+    cutoff = DEGREE_TOL * c.max()
     for d in range(MAX_DEGREE, 0, -1):
         if any(c[i, d - i] > cutoff for i in range(d + 1)):
             return d

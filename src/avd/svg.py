@@ -36,12 +36,12 @@ def _fmt(x: float) -> str:
 class _Mapper:
     """World -> SVG pixel coordinates (y axis flipped)."""
 
-    def __init__(self, grid: GridSpec, size: float = _SIZE) -> None:
+    def __init__(self, grid: GridSpec) -> None:
         self.grid = grid
         spanx = grid.x_max - grid.x_min
         spany = grid.y_max - grid.y_min
-        self.width = size
-        self.height = size * spany / spanx
+        self.width = _SIZE
+        self.height = _SIZE * spany / spanx
         self.sx = self.width / spanx
         self.sy = self.height / spany
 

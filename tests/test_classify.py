@@ -21,6 +21,7 @@ from avd import (
     detect_geometric_degeneracy,
     factor_circle_line,
     find_singularities,
+    gradient,
     normalize,
 )
 from avd.classify import Circle, Line, NotFromEdge
@@ -168,7 +169,7 @@ class TestSingularities:
             )
             for sp in find_singularities(f):
                 p = sp.location
-                gx, gy = f.gradient_at(p)
+                gx, gy = gradient(f, p)
                 assert max(abs(float(f(p.x, p.y))), abs(gx), abs(gy)) <= 1e-8
 
 

@@ -14,6 +14,7 @@ from avd.cli import (
     load_scene,
     main,
 )
+from avd.tolerances import ANGLE_TOL, CONTAINMENT_TOL, FACTOR_TOL
 
 
 @pytest.fixture
@@ -42,6 +43,49 @@ def canonical_config_file(tmp_path):
         )
     )
     return str(path)
+
+
+class TestSceneTolerances:
+    @pytest.mark.parametrize(
+        "block, factor, angle, containment",
+        [
+            (None, FACTOR_TOL, ANGLE_TOL, CONTAINMENT_TOL),
+            ({"factor": 1e-6, "angle": 1e-3, "containment": 1e-4}, 1e-6, 1e-3, 1e-4),
+        ],
+    )
+    def test_scene_tolerances_reach_the_checks(
+        self, block, factor, angle, containment, tmp_path, monkeypatch, capsys
+    ):
+        import avd.cli as cli_mod
+
+        scene = {"segments": [[[-1, 0], [1, 0]], [[0, 1], [2, 1]]]}
+        if block is not None:
+            scene["tolerances"] = block
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene))
+        seen = []
+        classify, validate = cli_mod.classify_edge, cli_mod.validate_curve
+
+        def classify_spy(curve, tol):
+            seen.append(("factor", tol))
+            return classify(curve, tol)
+
+        def validate_spy(curve, grid, tol, containment_tol):
+            seen.append(("angle", tol))
+            seen.append(("containment", containment_tol))
+            return validate(curve, grid, tol, containment_tol)
+
+        monkeypatch.setattr(cli_mod, "classify_edge", classify_spy)
+        monkeypatch.setattr(cli_mod, "validate_curve", validate_spy)
+        assert main(["edge", str(path)]) == EXIT_OK
+        assert seen == [
+            ("factor", factor),
+            ("factor", factor),
+            ("angle", angle),
+            ("containment", containment),
+        ]
+        validation = json.loads(capsys.readouterr().out)["validation"]
+        assert (validation["angle_tol"], validation["containment_tol"]) == (angle, containment)
 
 
 class TestSceneLoading:

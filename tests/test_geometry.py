@@ -11,7 +11,6 @@ from avd import (
     Point,
     Segment,
     SimilarityTransform,
-    apply_transform,
     canonicalize,
     visual_angle,
 )
@@ -77,17 +76,17 @@ class TestVisualAngle:
 class TestSimilarityTransform:
     def test_identity(self):
         t = SimilarityTransform.identity()
-        assert apply_transform(t, Point(3.0, 4.0)) == Point(3.0, 4.0)
+        assert t(Point(3.0, 4.0)) == Point(3.0, 4.0)
 
     def test_quarter_turn(self):
         t = SimilarityTransform(math.pi / 2, 1.0, (0.0, 0.0))
-        p = apply_transform(t, Point(1.0, 0.0))
+        p = t(Point(1.0, 0.0))
         assert p.x == pytest.approx(0.0, abs=1e-15)
         assert p.y == pytest.approx(1.0)
 
     def test_scale_and_translate(self):
         t = SimilarityTransform(0.0, 2.0, (1.0, 1.0))
-        assert apply_transform(t, Point(1.0, 1.0)) == Point(3.0, 3.0)
+        assert t(Point(1.0, 1.0)) == Point(3.0, 3.0)
 
     def test_inverse_round_trip(self, rng):
         for _ in range(50):

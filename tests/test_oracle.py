@@ -18,6 +18,7 @@ from avd import (
     extract_bisector,
     implicit_polylines,
     normalize,
+    oracle,
     rasterize_diagram,
     validate_curve,
 )
@@ -238,7 +239,7 @@ class TestRasterize:
         swapped = np.where(labels >= 0, 1 - labels, labels)
         assert np.array_equal(swapped[:, ::-1], labels)
 
-    def test_three_way_tie_takes_lower_index(self):
+    def test_three_way_tie_takes_lower_index(self, monkeypatch):
         # quarter turns of one segment about the origin: sites 1, 2 and 3
         # see the origin at exactly pi/4, site 0 at pi/2
         sites = [
@@ -249,7 +250,8 @@ class TestRasterize:
         ]
         grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 5, 5)  # node (2, 2) is the origin
         assert rasterize_diagram(sites, grid).labels[2, 2] == BOUNDARY_LABEL
-        assert rasterize_diagram(sites, grid, tie_tol=-1.0).labels[2, 2] == 1
+        monkeypatch.setattr(oracle, "TIE_TOL", -1.0)
+        assert rasterize_diagram(sites, grid).labels[2, 2] == 1
 
 
 class TestValidateCurve:

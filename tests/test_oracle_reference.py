@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from avd import GridSpec, Segment, rasterize_diagram
+from avd import GridSpec, Segment, oracle, rasterize_diagram
 from avd.oracle import (
     BOUNDARY_LABEL,
     _chain,
@@ -152,7 +152,7 @@ def reference_labels(sites, grid, tie_tol=1e-12):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_rasterize_matches_reference(seed):
+def test_rasterize_matches_reference(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     # endpoints on the grid's nodes give NaN angles; mirrored pairs tie
     sites = [Segment.of(*np.round(rng.uniform(-3, 3, (2, 2)) * 4) / 4) for _ in range(3)]
@@ -160,5 +160,6 @@ def test_rasterize_matches_reference(seed):
     sites += [random_segment(rng, 3.0) for _ in range(int(rng.integers(1, 6)))]
     grid = GridSpec(-4.0, 4.0, -4.0, 4.0, 65, 65)
     for tie_tol in (1e-12, -1.0):
-        got = rasterize_diagram(sites, grid, tie_tol).labels
+        monkeypatch.setattr(oracle, "TIE_TOL", tie_tol)
+        got = rasterize_diagram(sites, grid).labels
         assert np.array_equal(got, reference_labels(sites, grid, tie_tol))

@@ -8,10 +8,10 @@ from avd import (
     ZeroPolynomial,
     build_edge,
     effective_degree,
-    evaluate,
     gradient,
     normalize,
 )
+from avd.tolerances import DEGREE_TOL
 
 UNIT_CIRCLE = BivariatePoly.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
 NODAL_CUBIC = BivariatePoly.from_terms({(0, 2): 1.0, (3, 0): -1.0, (2, 0): -1.0})
@@ -27,15 +27,15 @@ def random_poly(rng) -> BivariatePoly:
 
 class TestEvaluate:
     def test_unit_circle_point(self):
-        assert evaluate(UNIT_CIRCLE, Point(1.0, 0.0)) == 0.0
+        assert UNIT_CIRCLE(1.0, 0.0) == 0.0
 
     def test_node_showcase_vanishes_at_singularity(self, node_config):
         f = build_edge(node_config).poly
-        assert abs(evaluate(f, Point(-1.0, 2.0))) <= 1e-12
+        assert abs(f(-1.0, 2.0)) <= 1e-12
 
     def test_plain_linear(self):
         f = BivariatePoly.from_terms({(0, 1): 1.0})
-        assert evaluate(f, Point(5.0, 3.0)) == 3.0
+        assert f(5.0, 3.0) == 3.0
 
     def test_linear_in_coefficients(self, rng):
         f = random_poly(rng)
@@ -43,8 +43,8 @@ class TestEvaluate:
         both = BivariatePoly(2.0 * f.coeffs + 3.0 * g.coeffs)
         for _ in range(20):
             p = Point(*rng.uniform(-4, 4, 2))
-            want = 2.0 * evaluate(f, p) + 3.0 * evaluate(g, p)
-            assert evaluate(both, p) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            want = 2.0 * f(*p) + 3.0 * g(*p)
+            assert both(*p) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestGradient:
@@ -89,9 +89,11 @@ class TestEffectiveDegree:
         assert effective_degree(BivariatePoly.from_terms({(0, 0): 2.0})) == 0
 
     def test_relative_threshold(self):
-        f = BivariatePoly.from_terms({(0, 3): 1e-14, (0, 1): 1.0})
-        assert effective_degree(f) == 1
-        assert effective_degree(f, tol=0.0) == 3
+        # the y^3 term counts once it exceeds DEGREE_TOL times the largest
+        # coefficient, whatever the overall scale
+        for ratio, want in ((0.5, 1), (2.0, 3)):
+            f = BivariatePoly.from_terms({(0, 3): ratio * DEGREE_TOL * 7.0, (0, 1): 7.0})
+            assert effective_degree(f) == want
 
 
 class TestNormalize:
