@@ -137,6 +137,9 @@ class ClassificationReport:
     validation: dict
     #: the EdgeClass behind edge_class; in memory only, not serialized or compared
     branch: Optional[EdgeClass] = field(default=None, compare=False, repr=False)
+    #: the branch curve as polylines, from the validation march; in memory
+    #: only, () when validation found neither locus in the window
+    curve_polylines: tuple = field(default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -217,8 +220,11 @@ def build_report(curve: EdgeCurve, grid: GridSpec, tol: float, angle_tol: float,
         {"tag": p.tag.value, "witness": p.witness}
         for p in detect_geometric_degeneracy(s1, s2)
     ]
+    curve_polylines: tuple = ()
     try:
-        validation = validate_curve(curve, grid, angle_tol, containment_tol).to_dict()
+        checked = validate_curve(curve, grid, angle_tol, containment_tol)
+        curve_polylines = checked.curve_polylines
+        validation = checked.to_dict()
         validation["status"] = "ok"
     except EmptyResult as exc:
         validation = {"status": "empty", "reason": str(exc)}
@@ -239,6 +245,7 @@ def build_report(curve: EdgeCurve, grid: GridSpec, tol: float, angle_tol: float,
         predicates=predicates,
         validation=validation,
         branch=cls,
+        curve_polylines=curve_polylines,
     )
 
 
@@ -280,7 +287,7 @@ def cmd_edge(args) -> int:
         svg = render_edge_scene(
             grid,
             [s1, s2],
-            implicit_polylines(normalize(curve.world_poly), grid).polylines,
+            report.curve_polylines,
             implicit_polylines(normalize(curve.mirror_world_poly), grid).polylines,
             oracle,
             report.branch.singularities,

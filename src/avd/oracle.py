@@ -178,6 +178,10 @@ def _march(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Shared marching-squares core.
 
+    values is fn on the grid, shape (ny, nx). Fields broadcast: the callers
+    build values as fn(xs[None, :], ys[:, None]), a row of xs against a
+    column of ys, and the refinement here calls fn on 1-D arrays of points.
+
     Every cell edge has an integer id: horizontal edge (ix, iy), from node
     (ix, iy) to (ix+1, iy), is ix*ny + iy; vertical edge (ix, iy), from
     (ix, iy) to (ix, iy+1), is H + ix*(ny-1) + iy, where H = (nx-1)*ny
@@ -317,7 +321,7 @@ def extract_bisector(s1: Segment, s2: Segment, grid: GridSpec) -> PolyLineSet:
     """
     fn = _gap_field(s1, s2)
     xs, ys = grid.xs(), grid.ys()
-    values = fn(*np.meshgrid(xs, ys))
+    values = fn(xs[None, :], ys[:, None])
     skip = _endpoint_cells(grid, (s1, s2))
     points, segments, crossings = _march(values, xs, ys, fn, skip, GAP_VERTEX_TOL)
     if crossings == 0 or not len(points):
@@ -332,7 +336,7 @@ def implicit_polylines(p: BivariatePoly, grid: GridSpec) -> PolyLineSet:
     """Zero set of a polynomial as polylines (marching squares, crossings
     refined by bisection on the polynomial). Empty set if no sign change."""
     xs, ys = grid.xs(), grid.ys()
-    values = p(*np.meshgrid(xs, ys))
+    values = p(xs[None, :], ys[:, None])
     points, segments, _ = _march(values, xs, ys, p, None, None)
     return PolyLineSet(_chain(points, segments))
 
@@ -350,13 +354,14 @@ def rasterize_diagram(sites: Sequence[Segment], grid: GridSpec) -> LabeledRaster
             rev = (a.e0, a.e1) == (b.e1, b.e0)
             if fwd or rev:
                 raise ValueError("sites must be pairwise distinct")
-    X, Y = np.meshgrid(grid.xs(), grid.ys())
+    X, Y = grid.xs()[None, :], grid.ys()[:, None]
+    shape = (grid.ny, grid.nx)
     # running smallest and second smallest angle; a strict < keeps the
     # lowest site index on exact ties
-    best = np.full(X.shape, np.inf)
+    best = np.full(shape, np.inf)
     second = best.copy()
-    labels = np.zeros(X.shape, dtype=int)
-    invalid = np.zeros(X.shape, dtype=bool)
+    labels = np.zeros(shape, dtype=int)
+    invalid = np.zeros(shape, dtype=bool)
     for k, s in enumerate(sites):
         a = _segment_angles(X, Y, s)
         nan = np.isnan(a)
@@ -400,6 +405,9 @@ class ValidationReport:
     angle_tol: float
     passed: bool
     notes: tuple[str, ...] = field(default_factory=tuple)
+    #: the branch curve chained into polylines, as implicit_polylines gives
+    #: it; in memory only, not serialized or compared
+    curve_polylines: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -420,9 +428,8 @@ class ValidationReport:
 def _carrier_line_nodes(grid: GridSpec, segments: Sequence[Segment]) -> int:
     """Grid nodes lying on a site's carrier line, where the visual angle sits
     at an extreme value (0 or pi). Counted and reported, processed normally."""
-    xs, ys = grid.xs(), grid.ys()
-    X, Y = np.meshgrid(xs, ys)
-    on_any = np.zeros(X.shape, dtype=bool)
+    X, Y = grid.xs()[None, :], grid.ys()[:, None]
+    on_any = np.zeros((grid.ny, grid.nx), dtype=bool)
     for s in segments:
         dx, dy = s.e1.x - s.e0.x, s.e1.y - s.e0.y
         norm = math.hypot(dx, dy)
@@ -440,7 +447,9 @@ def validate_curve(
     """Check the edge polynomial against the brute-force locus on a window.
 
     tol is the angle-gap tolerance used to decide whether an algebraic-curve
-    sample point is genuinely equal-angle.
+    sample point is genuinely equal-angle. The samples are the vertices of
+    one march of the branch polynomial; its chains are kept as the report's
+    curve_polylines, so a renderer need not march the branch again.
 
     Raises:
         EmptyResult: neither the oracle locus nor the algebraic curve meets
@@ -458,8 +467,8 @@ def validate_curve(
         notes.append("oracle locus missed the window or produced no sign change")
 
     xs, ys = grid.xs(), grid.ys()
-    values = p_conv(*np.meshgrid(xs, ys))
-    samples, _, _ = _march(values, xs, ys, p_conv, None, None)
+    values = p_conv(xs[None, :], ys[:, None])
+    samples, segments, _ = _march(values, xs, ys, p_conv, None, None)
 
     if len(oracle_vertices) == 0 and len(samples) == 0:
         raise EmptyResult("neither locus intersects the window")
@@ -498,4 +507,5 @@ def validate_curve(
         angle_tol=tol,
         passed=containment <= containment_tol,
         notes=tuple(notes),
+        curve_polylines=_chain(samples, segments),
     )

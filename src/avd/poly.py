@@ -60,7 +60,24 @@ class BivariatePoly:
         return float(self._c[i, j])
 
     def __call__(self, x, y):
-        return npoly.polyval2d(x, y, self._c)
+        """f(x, y), with x and y broadcast against each other.
+
+        The arithmetic is npoly.polyval2d's, operation for operation: Horner
+        in x for every y-power, then Horner in y over those results, so each
+        value is bit-equal to polyval2d on the broadcast arrays and a scalar
+        call returns a numpy float. Called with a row of xs and a column of
+        ys, the x-pass runs once per column instead of once per node.
+        """
+        x = np.asanyarray(x)
+        y = np.asanyarray(y)
+        c = self._c.reshape((4, 4) + (1,) * x.ndim)
+        p = c[3] + x * 0
+        for i in (2, 1, 0):
+            p = c[i] + p * x
+        q = p[3] + y * 0
+        for j in (2, 1, 0):
+            q = p[j] + q * y
+        return q
 
     def __repr__(self) -> str:
         terms = [

@@ -52,10 +52,14 @@ class _Mapper:
         )
 
     def path(self, points: np.ndarray) -> str:
-        coords = [self(px, py) for px, py in points]
-        parts = [f"M {_fmt(coords[0][0])} {_fmt(coords[0][1])}"]
-        parts += [f"L {_fmt(px)} {_fmt(py)}" for px, py in coords[1:]]
-        return " ".join(parts)
+        # the mapping of __call__ as two array expressions: the same IEEE
+        # operations, so the same strings
+        pts = np.asarray(points, dtype=float)
+        xs = ((pts[:, 0] - self.grid.x_min) * self.sx).tolist()
+        ys = ((self.grid.y_max - pts[:, 1]) * self.sy).tolist()
+        return "M " + " L ".join(
+            f"{format(x, '.6g')} {format(y, '.6g')}" for x, y in zip(xs, ys)
+        )
 
 
 def _header(m: _Mapper) -> list[str]:

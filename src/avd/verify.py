@@ -391,21 +391,29 @@ def run_twolines(seed: int) -> ScenarioResult:
 
 def run_degree1(seed: int) -> ScenarioResult:
     rng = np.random.default_rng(seed)
-    degrees = set()
-    ok = True
-    for _ in range(10_000):
-        a = float(rng.uniform(-4.0, 4.0))
-        b = float(rng.uniform(-4.0, 4.0))
-        l = float(rng.uniform(0.05, 4.0))
-        alpha = float(rng.uniform(-math.pi, math.pi))
-        curve = build_edge(CanonicalConfig.from_angle(a, b, l, alpha))
-        d = effective_degree(curve.poly)
-        degrees.add(d)
-        if d not in (2, 3):
-            ok = False
+    configs = [
+        CanonicalConfig.from_angle(
+            float(rng.uniform(-4.0, 4.0)),
+            float(rng.uniform(-4.0, 4.0)),
+            float(rng.uniform(0.05, 4.0)),
+            float(rng.uniform(-math.pi, math.pi)),
+        )
+        for _ in range(10_000)
+    ]
+    # uniform draws almost never land on the degree-2 family, where one more
+    # cancellation would show: l*cos(alpha) = -1 and l*sin(alpha) = 0
+    configs += [
+        CanonicalConfig.from_trig(
+            float(rng.uniform(-4.0, 4.0)), float(rng.uniform(-4.0, 4.0)), 1.0, 0.0, -1.0
+        )
+        for _ in range(100)
+    ]
+    degrees = {effective_degree(build_edge(c).poly) for c in configs}
+    ok = degrees <= {2, 3}
     return ScenarioResult(
         "degree1",
-        "effective degree in {2, 3} over 10000 random configurations",
+        "effective degree in {2, 3} over 10000 random configurations "
+        "and 100 from the degree-2 family",
         f"degrees seen: {sorted(degrees)}",
         0.0,
         ok,

@@ -187,6 +187,30 @@ class TestEdgeCommand:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
 
+    def test_svg_marches_the_branch_once(self, canonical_config_file, tmp_path,
+                                         monkeypatch, capsys):
+        import avd.cli as cli_mod
+
+        marched = []
+        march = cli_mod.implicit_polylines
+
+        def spy(p, grid):
+            marched.append(p)
+            return march(p, grid)
+
+        monkeypatch.setattr(cli_mod, "implicit_polylines", spy)
+        assert main(["edge", canonical_config_file, "--svg", str(tmp_path / "a.svg"),
+                     "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        # only the mirror branch; the curve comes from the validation march
+        assert len(marched) == 1
+
+    def test_empty_validation_carries_no_curve(self, node_config):
+        report = build_report(
+            build_edge(node_config), GridSpec(50, 51, 50, 51, 16, 16), 1e-8, 1e-6, 1e-5
+        )
+        assert report.validation["status"] == "empty"
+        assert report.curve_polylines == ()
+
 
 class TestDiagramCommand:
     def test_three_sites(self, tmp_path, capsys):
@@ -217,6 +241,10 @@ class TestVerifyCommand:
 
     def test_unknown_scenario_is_config_error(self, capsys):
         assert main(["verify", "--only", "nonsense"]) == EXIT_BAD_CONFIG
+
+    def test_degree_search_reaches_degree_two(self, capsys):
+        assert main(["verify", "--only", "degree1"]) == EXIT_OK
+        assert "degrees seen: [2, 3]" in capsys.readouterr().out
 
 
 class TestReportRoundTrip:

@@ -128,6 +128,18 @@ class TestExtractBisector:
             assert np.hypot(*(fine - pt).T).min() <= coarse_diag
 
 
+class TestGridAxes:
+    def test_gap_field_on_axes_matches_meshgrid(self):
+        # step 0.5: all four endpoints sit on grid nodes
+        s2 = Segment.of((0.5, 1.0), (2.0, 2.5))
+        fn = oracle._gap_field(S1, s2)
+        xs, ys = GridSpec.square(4.0, 17).xs(), GridSpec.square(4.0, 17).ys()
+        want = fn(*np.meshgrid(xs, ys))
+        got = fn(xs[None, :], ys[:, None])
+        assert np.isnan(want).sum() == 4
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestImplicitPolylines:
     @pytest.mark.parametrize("c, quadrants", [(0.01, {(-1, 1), (1, -1)}),
                                               (-0.01, {(1, 1), (-1, -1)})])
@@ -295,6 +307,17 @@ class TestValidateCurve:
         tiny = GridSpec(50.0, 51.0, 50.0, 51.0, 16, 16)
         with pytest.raises(EmptyResult):
             validate_curve(curve, tiny)
+
+    def test_curve_polylines_are_the_branch_polylines(self, node_config):
+        curve = build_edge(node_config)
+        grid = GridSpec.canonical_window(node_config, 128)
+        got = validate_curve(curve, grid).curve_polylines
+        want = implicit_polylines(normalize(curve.world_poly), grid).polylines
+        # the nodal cubic's loop is in the window
+        assert any(len(p) > 2 and np.array_equal(p[0], p[-1]) for p in want)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     def test_carrier_line_nodes_flagged(self):
         cfg = CanonicalConfig.from_trig(3.0, 0.0, 0.5, 0.0, 1.0)

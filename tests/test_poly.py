@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from avd import (
     BivariatePoly,
@@ -45,6 +46,38 @@ class TestEvaluate:
             p = Point(*rng.uniform(-4, 4, 2))
             want = 2.0 * f(*p) + 3.0 * g(*p)
             assert both(*p) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+class TestPolyval2dReference:
+    """f(x, y) keeps npoly.polyval2d's arithmetic bit for bit, whatever the
+    shapes of x and y."""
+
+    @staticmethod
+    def assert_bits_equal(got, want):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_meshgrid_and_row_column(self, rng):
+        xs, ys = np.linspace(-3.0, 3.0, 37), np.linspace(-2.0, 5.0, 29)
+        X, Y = np.meshgrid(xs, ys)
+        for _ in range(10):
+            f = random_poly(rng)
+            want = npoly.polyval2d(X, Y, f.coeffs)
+            self.assert_bits_equal(f(X, Y), want)
+            self.assert_bits_equal(f(xs[None, :], ys[:, None]), want)
+
+    def test_point_arrays(self, rng):
+        x, y = rng.uniform(-4, 4, (2, 50))
+        for _ in range(10):
+            f = random_poly(rng)
+            self.assert_bits_equal(f(x, y), npoly.polyval2d(x, y, f.coeffs))
+
+    def test_python_scalars(self, rng):
+        f = random_poly(rng)
+        for x, y in rng.uniform(-4, 4, (20, 2)).tolist():
+            got, want = f(x, y), npoly.polyval2d(x, y, f.coeffs)
+            assert type(got) is type(want)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestGradient:
