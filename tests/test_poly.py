@@ -57,20 +57,16 @@ class TestPolyval2dReference:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    def test_meshgrid_and_row_column(self, rng):
+    def test_arrays(self, rng):
         xs, ys = np.linspace(-3.0, 3.0, 37), np.linspace(-2.0, 5.0, 29)
         X, Y = np.meshgrid(xs, ys)
+        px, py = rng.uniform(-4, 4, (2, 50))
         for _ in range(10):
             f = random_poly(rng)
             want = npoly.polyval2d(X, Y, f.coeffs)
             self.assert_bits_equal(f(X, Y), want)
             self.assert_bits_equal(f(xs[None, :], ys[:, None]), want)
-
-    def test_point_arrays(self, rng):
-        x, y = rng.uniform(-4, 4, (2, 50))
-        for _ in range(10):
-            f = random_poly(rng)
-            self.assert_bits_equal(f(x, y), npoly.polyval2d(x, y, f.coeffs))
+            self.assert_bits_equal(f(px, py), npoly.polyval2d(px, py, f.coeffs))
 
     def test_python_scalars(self, rng):
         f = random_poly(rng)
