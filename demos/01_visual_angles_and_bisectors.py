@@ -42,12 +42,13 @@ print("Edge polynomial (canonical frame, normalized):")
 print(f"  {normalize(curve.poly)!r}")
 
 grid = GridSpec.canonical_window(config, 192)
-locus = extract_bisector(*curve.world_segments(), grid)
+canonical_pair = (config.canonical_s1(), config.canonical_s2())
+locus = extract_bisector(*canonical_pair, grid)
 vertices = locus.vertices()
 print(f"\nBrute-force equal-angle locus: {len(locus.polylines)} polyline(s), "
       f"{len(vertices)} vertices")
 worst = max(
-    abs(angle_gap(Point(x, y), *curve.world_segments())) for x, y in vertices[:200]
+    abs(angle_gap(Point(x, y), *canonical_pair)) for x, y in vertices[:200]
 )
 print(f"Largest |angle gap| over the first 200 vertices: {worst:.2e} rad")
 

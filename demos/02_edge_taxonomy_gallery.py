@@ -42,7 +42,8 @@ def main() -> None:
     for name, config in GALLERY:
         curve = build_edge(config)
         cls = classify_edge(curve)
-        preds = detect_geometric_degeneracy(*curve.world_segments())
+        pair = [config.canonical_s1(), config.canonical_s2()]
+        preds = detect_geometric_degeneracy(*pair)
         grid = GridSpec.canonical_window(config, 256)
         try:
             report = validate_curve(curve, grid)
@@ -63,14 +64,15 @@ def main() -> None:
                   f"({sp.location.x:+.4f}, {sp.location.y:+.4f})")
 
         try:
-            oracle = extract_bisector(*curve.world_segments(), grid)
+            oracle = extract_bisector(*pair, grid)
         except EmptyResult:
             oracle = None
         svg = render_edge_scene(
-            grid,
-            list(curve.world_segments()),
-            implicit_polylines(normalize(curve.world_poly), grid).polylines,
-            implicit_polylines(normalize(curve.mirror_world_poly), grid).polylines,
+            grid.mapped(config.to_world),
+            config.to_world,
+            pair,
+            implicit_polylines(normalize(curve.poly), grid).polylines,
+            implicit_polylines(normalize(curve.mirror_poly), grid).polylines,
             oracle,
             cls.singularities,
         )

@@ -9,7 +9,12 @@ and "tolerances" objects; "tolerances" may set "factor", "angle" and
 "containment", whose defaults are FACTOR_TOL, ANGLE_TOL and CONTAINMENT_TOL
 in avd/tolerances.py. An edge run may instead supply {"canonical":
 {"a":..,"b":..,"l":..,"sin_alpha":..,"cos_alpha":..}} so exact rational
-direction cosines are expressible. Exit codes: 2 malformed config, 3
+direction cosines are expressible.
+
+Frames: class payloads, "validation" and the report's curve_polylines are
+in the canonical frame of the pair; predicate witnesses and the SVG are in
+the world frame; a config "grid" is a world window (validation runs over
+the bounding box of its preimage). Exit codes: 2 malformed config, 3
 identical segments, 4 internal anomaly (a degree-1 edge, a cubic whose
 partials share a component, or a singular point with a vanishing Hessian).
 """
@@ -215,10 +220,9 @@ def build_report(curve: EdgeCurve, grid: GridSpec, tol: float, angle_tol: float,
     config = curve.config
     cls = classify_edge(curve, tol)
     mirror_cls = classify_edge(curve.mirrored(), tol)
-    s1, s2 = curve.world_segments()
     predicates = [
         {"tag": p.tag.value, "witness": p.witness}
-        for p in detect_geometric_degeneracy(s1, s2)
+        for p in detect_geometric_degeneracy(config.world_s1(), config.world_s2())
     ]
     curve_polylines: tuple = ()
     try:
@@ -268,7 +272,13 @@ def cmd_edge(args) -> int:
     tol = float(scene.tolerances.get("factor", FACTOR_TOL))
     angle_tol = float(scene.tolerances.get("angle", ANGLE_TOL))
     containment_tol = float(scene.tolerances.get("containment", CONTAINMENT_TOL))
-    grid = scene.grid or GridSpec.canonical_window(config, 256)
+    # the canonical window, and the world window the SVG draws
+    if scene.grid is None:
+        grid = GridSpec.canonical_window(config, 256)
+        view = grid.mapped(config.to_world)
+    else:
+        grid = scene.grid.mapped(config.to_world.inverse())
+        view = scene.grid
 
     report = build_report(curve, grid, tol, angle_tol, containment_tol)
     text = report.to_json()
@@ -279,16 +289,17 @@ def cmd_edge(args) -> int:
         print(text)
 
     if args.svg:
-        s1, s2 = curve.world_segments()
+        s1, s2 = config.canonical_s1(), config.canonical_s2()
         try:
             oracle = extract_bisector(s1, s2, grid)
         except EmptyResult:
             oracle = None
         svg = render_edge_scene(
-            grid,
+            view,
+            config.to_world,
             [s1, s2],
             report.curve_polylines,
-            implicit_polylines(normalize(curve.mirror_world_poly), grid).polylines,
+            implicit_polylines(normalize(curve.mirror_poly), grid).polylines,
             oracle,
             report.branch.singularities,
         )

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CanonicalConfig, Segment
-from .poly import BivariatePoly, ZeroPolynomial, compose_affine
+from .geometry import CanonicalConfig
+from .poly import BivariatePoly, ZeroPolynomial
 
 __all__ = ["EdgeCurve", "build_edge", "leading_coefficients", "ZeroPolynomial"]
 
@@ -52,39 +52,20 @@ def leading_coefficients(config: CanonicalConfig) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class EdgeCurve:
-    """Bisector polynomial in the canonical frame plus its world pullback.
+    """Bisector polynomials in the canonical frame of config.
 
     poly is the cubic for the config's own endpoint labeling; mirror_poly is
-    the cubic for the opposite labeling of the same segment pair.
+    the cubic for the opposite labeling of the same segment pair. World
+    coordinates are config.to_world of canonical ones.
     """
 
     config: CanonicalConfig
     poly: BivariatePoly
-    world_poly: BivariatePoly
     mirror_poly: BivariatePoly
-    mirror_world_poly: BivariatePoly
 
     def mirrored(self) -> "EdgeCurve":
         """The same geometric pair under the opposite labeling of s2."""
-        return EdgeCurve(
-            self.config.mirrored(),
-            self.mirror_poly,
-            self.mirror_world_poly,
-            self.poly,
-            self.world_poly,
-        )
-
-    def world_segments(self) -> tuple[Segment, Segment]:
-        return (self.config.world_s1(), self.config.world_s2())
-
-
-def _pullback(poly: BivariatePoly, config: CanonicalConfig) -> BivariatePoly:
-    """World-frame polynomial: substitute the world->canonical affine map."""
-    if config.to_world.is_identity:
-        return poly
-    m00, m01, m02, m10, m11, m12 = config.to_world.inverse().matrix()
-    table = compose_affine(poly, (m00, m01, m02), (m10, m11, m12))
-    return BivariatePoly(table)
+        return EdgeCurve(self.config.mirrored(), self.mirror_poly, self.poly)
 
 
 def build_edge(config: CanonicalConfig) -> EdgeCurve:
@@ -104,10 +85,4 @@ def build_edge(config: CanonicalConfig) -> EdgeCurve:
         raise ZeroPolynomial(
             "edge polynomial vanishes identically; the segments coincide"
         ) from None
-    return EdgeCurve(
-        config,
-        poly,
-        _pullback(poly, config),
-        mirror,
-        _pullback(mirror, config),
-    )
+    return EdgeCurve(config, poly, mirror)

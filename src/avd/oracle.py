@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .edge import EdgeCurve
-from .geometry import Point, Segment, visual_angle
+from .geometry import Point, Segment, SimilarityTransform, visual_angle
 from .poly import BivariatePoly, normalize
 from .tolerances import (
     ANGLE_TOL,
@@ -72,6 +72,17 @@ class GridSpec:
         """Default [-6, 6]^2 window scaled up when the configuration is big."""
         s = max(1.0, 0.5 * (abs(config.a) + abs(config.b) + config.l))
         return cls.square(6.0 * s, n)
+
+    def mapped(self, t: SimilarityTransform) -> "GridSpec":
+        """Bounding box of the window's image under t, at the same nx, ny;
+        the grid itself when t is the identity."""
+        if t.is_identity:
+            return self
+        corners = [t(Point(x, y)) for x in (self.x_min, self.x_max)
+                   for y in (self.y_min, self.y_max)]
+        xs = [p.x for p in corners]
+        ys = [p.y for p in corners]
+        return GridSpec(min(xs), max(xs), min(ys), max(ys), self.nx, self.ny)
 
     def xs(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.nx)
@@ -446,8 +457,11 @@ def validate_curve(
 ) -> ValidationReport:
     """Check the edge polynomial against the brute-force locus on a window.
 
-    tol is the angle-gap tolerance used to decide whether an algebraic-curve
-    sample point is genuinely equal-angle. The samples are the vertices of
+    Everything happens in the canonical frame: grid is a canonical window,
+    and the oracle marches the config's canonical segments, which see every
+    point at the angles the world pair sees its image at. tol is the
+    angle-gap tolerance used to decide whether an algebraic-curve sample
+    point is genuinely equal-angle. The samples are the vertices of
     one march of the branch polynomial; its chains are kept as the report's
     curve_polylines, so a renderer need not march the branch again.
 
@@ -455,9 +469,9 @@ def validate_curve(
         EmptyResult: neither the oracle locus nor the algebraic curve meets
             the window.
     """
-    s1, s2 = curve.world_segments()
-    p_conv = normalize(curve.world_poly)
-    p_mirr = normalize(curve.mirror_world_poly)
+    s1, s2 = curve.config.canonical_s1(), curve.config.canonical_s2()
+    p_conv = normalize(curve.poly)
+    p_mirr = normalize(curve.mirror_poly)
 
     notes: list[str] = []
     oracle_vertices = np.zeros((0, 2))

@@ -165,34 +165,3 @@ def _pad4(c: np.ndarray) -> np.ndarray:
     out[: c.shape[0], : c.shape[1]] = c
     return out
 
-
-def compose_affine(
-    f: BivariatePoly,
-    x_sub: tuple[float, float, float],
-    y_sub: tuple[float, float, float],
-) -> np.ndarray:
-    """Coefficients of f(px*X + qx*Y + rx, py*X + qy*Y + ry).
-
-    Substituting affine forms into a degree-3 polynomial keeps the degree, so
-    the result fits the same 4x4 table.
-    """
-    px, qx, rx = x_sub
-    py, qy, ry = y_sub
-    xs = _pad4(np.array([[rx, qx], [px, 0.0]]))
-    ys = _pad4(np.array([[ry, qy], [py, 0.0]]))
-    one = _pad4(np.array([[1.0]]))
-
-    # Powers of the substituted linear forms, degree 0..3.
-    xp = [one]
-    yp = [one]
-    for _ in range(3):
-        xp.append(poly_mul(xp[-1][:4, :4], xs))
-        yp.append(poly_mul(yp[-1][:4, :4], ys))
-
-    out = np.zeros((4, 4))
-    c = f.coeffs
-    for i in range(4):
-        for j in range(4):
-            if c[i, j] != 0.0:
-                out += c[i, j] * poly_mul(xp[i], yp[j])[:4, :4]
-    return out

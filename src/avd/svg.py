@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .classify import SingularPoint
-from .geometry import Segment
+from .geometry import Segment, SimilarityTransform
 from .oracle import BOUNDARY_LABEL, GridSpec, LabeledRaster, PolyLineSet
 
 #: Fixed region palette, cycled over site indices.
@@ -34,10 +34,17 @@ def _fmt(x: float) -> str:
 
 
 class _Mapper:
-    """World -> SVG pixel coordinates (y axis flipped)."""
+    """Coordinates -> SVG pixels of the world window grid (y axis flipped).
 
-    def __init__(self, grid: GridSpec) -> None:
+    Points go through to_world first; the identity map is skipped, so
+    world-frame input keeps its bits.
+    """
+
+    def __init__(
+        self, grid: GridSpec, to_world: SimilarityTransform = SimilarityTransform.identity()
+    ) -> None:
         self.grid = grid
+        self.affine = None if to_world.is_identity else to_world.matrix()
         spanx = grid.x_max - grid.x_min
         spany = grid.y_max - grid.y_min
         self.width = _SIZE
@@ -45,7 +52,14 @@ class _Mapper:
         self.sx = self.width / spanx
         self.sy = self.height / spany
 
+    def _world(self, x, y):
+        if self.affine is None:
+            return x, y
+        m00, m01, m02, m10, m11, m12 = self.affine
+        return m00 * x + m01 * y + m02, m10 * x + m11 * y + m12
+
     def __call__(self, x: float, y: float) -> tuple[float, float]:
+        x, y = self._world(x, y)
         return (
             (x - self.grid.x_min) * self.sx,
             (self.grid.y_max - y) * self.sy,
@@ -55,8 +69,9 @@ class _Mapper:
         # the mapping of __call__ as two array expressions: the same IEEE
         # operations, so the same strings
         pts = np.asarray(points, dtype=float)
-        xs = ((pts[:, 0] - self.grid.x_min) * self.sx).tolist()
-        ys = ((self.grid.y_max - pts[:, 1]) * self.sy).tolist()
+        x, y = self._world(pts[:, 0], pts[:, 1])
+        xs = ((x - self.grid.x_min) * self.sx).tolist()
+        ys = ((self.grid.y_max - y) * self.sy).tolist()
         return "M " + " L ".join(
             f"{format(x, '.6g')} {format(y, '.6g')}" for x, y in zip(xs, ys)
         )
@@ -110,6 +125,7 @@ def _segment_group(m: _Mapper, segments: Sequence[Segment]) -> list[str]:
 
 def render_edge_scene(
     grid: GridSpec,
+    to_world: SimilarityTransform,
     segments: Sequence[Segment],
     curve_polylines: Iterable[np.ndarray],
     mirror_polylines: Iterable[np.ndarray],
@@ -118,8 +134,12 @@ def render_edge_scene(
 ) -> str:
     """Overlay: algebraic curve (stroked, both labeling branches), oracle
     bisector (dashed), the two segments, and singular points labeled by kind.
-    Stroke order is fixed: mirror, curve, oracle, segments, markers."""
-    m = _Mapper(grid)
+    Stroke order is fixed: mirror, curve, oracle, segments, markers.
+
+    The geometry is in the canonical frame; to_world maps all of it into the
+    world window grid.
+    """
+    m = _Mapper(grid, to_world)
     parts = _header(m)
     parts += _polyline_group(m, mirror_polylines, MIRROR_COLOR, 1.4)
     parts += _polyline_group(m, curve_polylines, CURVE_COLOR, 2.2)

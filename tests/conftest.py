@@ -1,7 +1,21 @@
 import numpy as np
 import pytest
 
-from avd import CanonicalConfig, Segment
+from avd import CanonicalConfig, Point, Segment
+from avd.verify import NODE_CONFIG
+
+
+def similarity(p: Point) -> list[float]:
+    """Rotation by atan2(0.8, 0.6), scaling by 1.5, translation (0.25, -0.5)."""
+    c, s = 0.6 * 1.5, 0.8 * 1.5
+    return [c * p.x - s * p.y + 0.25, s * p.x + c * p.y - 0.5]
+
+
+#: NODE_CONFIG's segment pair under `similarity`; its node maps to (-3.05, 0.1).
+NODE_PAIR = [
+    [similarity(p) for p in seg.endpoints]
+    for seg in (NODE_CONFIG.canonical_s1(), NODE_CONFIG.canonical_s2())
+]
 
 
 @pytest.fixture

@@ -18,25 +18,23 @@ from avd import (
     EdgeClassTag,
     GridSpec,
     Point,
-    SingularityKind,
     build_edge,
     classify_edge,
-    classify_singularity,
     extract_bisector,
-    find_singularities,
     gradient,
     leading_coefficients,
     normalize,
 )
 from avd.oracle import EmptyResult
-from avd.poly import BivariatePoly, effective_degree
+from avd.poly import BivariatePoly
 from avd.verify import (
-    NODE_COEFFS,
-    NODE_CONFIG,
     run_collinear,
     run_concyclic,
+    run_degree1,
+    run_node,
     run_orthocross,
     run_shared_endpoint,
+    run_taxonomy,
 )
 
 SEED = 987654321
@@ -51,42 +49,16 @@ def _report(name: str, ok: bool, detail: str, budget: float, elapsed: float) -> 
 
 def test_node_regression():
     t0 = time.perf_counter()
-    curve = build_edge(NODE_CONFIG)
-    worst = max(
-        abs(curve.poly.coefficient(i, j) - want) / max(1.0, abs(want))
-        for (i, j), want in NODE_COEFFS.items()
-    )
-    sings = find_singularities(curve.poly)
-    ok = (
-        worst <= 1e-12
-        and len(sings) == 1
-        and math.hypot(sings[0].location.x + 1.0, sings[0].location.y - 2.0) <= 1e-8
-        and sings[0].kind is SingularityKind.NODE
-    )
-    _report(
-        "node-regression", ok,
-        f"coefficient residual {worst:.2e}, {len(sings)} singularity(ies)",
-        1.0, time.perf_counter() - t0,
-    )
+    r = run_node(SEED)
+    _report("node-regression", r.ok,
+            f"coefficient residual {r.residual:.2e}, {r.observed}",
+            1.0, time.perf_counter() - t0)
 
 
 def test_singularity_taxonomy():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(SEED)
-    cases = [(1.0, SingularityKind.NODE), (-1.0, SingularityKind.ISOLATED_POINT),
-             (0.0, SingularityKind.CUSP)]
-    for _ in range(20):
-        a = float(rng.uniform(0.05, 3.0)) * (1 if rng.random() < 0.5 else -1)
-        cases.append(
-            (a, SingularityKind.NODE if a > 0 else SingularityKind.ISOLATED_POINT)
-        )
-    ok = True
-    for a, want in cases:
-        f = BivariatePoly.from_terms({(0, 2): 1.0, (3, 0): -1.0, (2, 0): -a})
-        if classify_singularity(f, Point(0.0, 0.0)) is not want:
-            ok = False
-    _report("singularity-taxonomy", ok, f"{len(cases)} family members",
-            1.0, time.perf_counter() - t0)
+    r = run_taxonomy(SEED)
+    _report("singularity-taxonomy", r.ok, r.observed, 1.0, time.perf_counter() - t0)
 
 
 def test_example_closed_forms():
@@ -101,7 +73,7 @@ def test_example_closed_forms():
     worst = max(r.residual for r in results)
     _report(
         "example-closed-forms", ok,
-        "50 draws per family, max factor residual "
+        "50 draws per family, max residual "
         f"{worst:.2e} (tol 1e-8)",
         10.0, time.perf_counter() - t0,
     )
@@ -155,19 +127,8 @@ def test_degree_two_dichotomy():
 
 def test_degree_one_impossibility():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(SEED)
-    degrees = set()
-    for _ in range(10_000):
-        cfg = CanonicalConfig.from_angle(
-            float(rng.uniform(-4, 4)),
-            float(rng.uniform(-4, 4)),
-            float(rng.uniform(0.05, 4.0)),
-            float(rng.uniform(-math.pi, math.pi)),
-        )
-        degrees.add(effective_degree(build_edge(cfg).poly))
-    ok = degrees <= {2, 3}
-    _report("degree-1-impossibility", ok, f"degrees seen {sorted(degrees)}",
-            5.0, time.perf_counter() - t0)
+    r = run_degree1(SEED)
+    _report("degree-1-impossibility", r.ok, r.observed, 5.0, time.perf_counter() - t0)
 
 
 def test_oracle_containment():
@@ -189,7 +150,8 @@ def test_oracle_containment():
             ok = False
         grid = GridSpec.canonical_window(cfg, 512)
         try:
-            vertices = extract_bisector(*curve.world_segments(), grid).vertices()
+            vertices = extract_bisector(cfg.canonical_s1(), cfg.canonical_s2(),
+                                        grid).vertices()
         except EmptyResult:
             skipped += 1
             continue

@@ -1,8 +1,11 @@
 """Byte-stability guard: fixed scenes must keep producing the same bytes.
 
-The digests were recorded with the tuple-keyed marching-squares core and the
-stacked, fully sorted rasterizer, before either was vectorized. A change that
-alters a report, an SVG or a diagram label by a single byte fails here.
+The diagram digest was recorded with the stacked, fully sorted rasterizer,
+before it was vectorized. The edge digests of these two world-frame scenes
+were recorded when `avd edge` moved to the canonical frame: validation runs
+over the canonical window and the SVG maps everything through `to_world`.
+A change that alters a report, an SVG or a diagram label by a single byte
+fails here.
 """
 
 import hashlib
@@ -12,26 +15,15 @@ import pytest
 
 from avd import GridSpec, Segment, rasterize_diagram
 from avd.cli import EXIT_OK, main
-from avd.verify import NODE_CONFIG
+from conftest import NODE_PAIR
 
-
-def _similarity(p):
-    """Rotation by atan2(0.8, 0.6), scaling by 1.5, translation (0.25, -0.5)."""
-    c, s = 0.6 * 1.5, 0.8 * 1.5
-    return [c * p.x - s * p.y + 0.25, s * p.x + c * p.y - 0.5]
-
-
-NODE_PAIR = [
-    [_similarity(p) for p in seg.endpoints]
-    for seg in (NODE_CONFIG.canonical_s1(), NODE_CONFIG.canonical_s2())
-]
 GENERIC_PAIR = [[[-1.3, 0.4], [0.9, 1.7]], [[0.2, -1.1], [2.4, 0.3]]]
 
 EDGE_DIGESTS = {
-    "node": ("0314a163f890db236670e3d8b07cf5bdb647bf42e6967d715ed764d2dc597b28",
-             "b6c049735e2fb4912809d32b4960e5b2d61da6726d0e54ca4f39fcfa4bc10fdf"),
-    "generic": ("d582efa246360dc22f0da36381ae21de1465fe7fed00c2ee9e7f8593b870d578",
-                "f1abb54251430b6e6afa52c79942f8c6a2a45f057363196d774479c455774503"),
+    "node": ("dd39ac4018a973c219280560e9f3c7f0542e8e2b97e64b7da5ccaca4fbc59afd",
+             "6e9990a70a170ea6df547135d14c4afd0b27068107f0f3d666c93525fa07b5cd"),
+    "generic": ("ad19ae8eda1558b6cb892b839e137a7b67008e132e696089c308e53064bf3222",
+                "289da5771b0cfbb918e4103ecd0195e01f25401b233ef37da0063aca67089594"),
 }
 LABELS_DIGEST = "c1860674c9fc569200d47027cb34a9decc84241fad58dd8843f71012c38a01f2"
 

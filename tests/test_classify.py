@@ -26,7 +26,7 @@ from avd import (
 )
 from avd.classify import Circle, Line, NotFromEdge
 from avd.edge import EdgeCurve
-from avd.poly import compose_affine, poly_mul
+from avd.poly import poly_mul
 from avd.verify import (
     circle_distance,
     collinear_config,
@@ -135,9 +135,16 @@ class TestSingularities:
             assert sings[0].kind is want
 
     def test_far_node_found(self):
-        # y^2 - x^2 (x + 1) moved so its node sits at (150, -90)
-        base = BivariatePoly.from_terms({(0, 2): 1.0, (3, 0): -1.0, (2, 0): -1.0})
-        f = BivariatePoly(compose_affine(base, (1.0, 0.0, -150.0), (0.0, 1.0, 90.0)))
+        # y^2 - x^2 (x + 1) moved so its node sits at (150, -90):
+        # (y + 90)^2 - (x - 150)^2 (x - 149), with exact integer coefficients
+        def linear(c, cx, cy):
+            t = np.zeros((4, 4))
+            t[0, 0], t[1, 0], t[0, 1] = c, cx, cy
+            return t
+
+        y90 = linear(90.0, 0.0, 1.0)
+        x150, x149 = linear(-150.0, 1.0, 0.0), linear(-149.0, 1.0, 0.0)
+        f = BivariatePoly(poly_mul(y90, y90) - poly_mul(poly_mul(x150, x150), x149))
         sings = find_singularities(f)
         assert [sp.kind for sp in sings] == [SingularityKind.NODE]
         p = sings[0].location
@@ -282,7 +289,7 @@ class TestClassifyEdge:
     def test_degree_one_anomaly(self, node_config):
         doctored = BivariatePoly.from_terms({(1, 0): 1.0, (0, 1): 1.0})
         curve = build_edge(node_config)
-        fake = EdgeCurve(curve.config, doctored, doctored, doctored, doctored)
+        fake = EdgeCurve(curve.config, doctored, doctored)
         with pytest.raises(DegreeOneAnomaly):
             classify_edge(fake)
 

@@ -1,8 +1,11 @@
 import json
+import math
+import re
 
+import numpy as np
 import pytest
 
-from avd import CanonicalConfig, GridSpec, build_edge
+from avd import CanonicalConfig, GridSpec, Point, SimilarityTransform, build_edge
 from avd.classify import DegenerateJet, DegreeOneAnomaly, SharedComponent
 from avd.cli import (
     EXIT_ANOMALY,
@@ -15,6 +18,7 @@ from avd.cli import (
     main,
 )
 from avd.tolerances import ANGLE_TOL, CONTAINMENT_TOL, FACTOR_TOL
+from conftest import NODE_PAIR, random_config, similarity
 
 
 @pytest.fixture
@@ -210,6 +214,55 @@ class TestEdgeCommand:
         )
         assert report.validation["status"] == "empty"
         assert report.curve_polylines == ()
+
+
+def _edge_json(tmp_path, segments, *extra) -> dict:
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"segments": segments}))
+    out = tmp_path / "report.json"
+    assert main(["edge", str(scene), "--out", str(out), *extra]) == EXIT_OK
+    return json.loads(out.read_text())
+
+
+class TestFrames:
+    """Validation runs in the canonical frame; the SVG maps it to the world."""
+
+    def test_node_marker_at_world_node(self, tmp_path):
+        svg = tmp_path / "node.svg"
+        _edge_json(tmp_path, NODE_PAIR, "--svg", str(svg))
+        # default window: the world bounding box of NODE_CONFIG's canonical
+        # window [-15, 15]^2, drawn 720 px wide
+        corners = [similarity(Point(x, y)) for x in (-15.0, 15.0) for y in (-15.0, 15.0)]
+        x_min = min(c[0] for c in corners)
+        y_max = max(c[1] for c in corners)
+        px = 720.0 / (max(c[0] for c in corners) - x_min)
+        x, y = similarity(Point(-1.0, 2.0))
+        want = ((x - x_min) * px, (y_max - y) * px)
+        markers = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"', svg.read_text())
+        assert len(markers) == 1
+        got = tuple(map(float, markers[0]))
+        assert math.hypot(got[0] - want[0], got[1] - want[1]) <= 1.0
+
+    def test_far_pair_validates_like_origin_pair(self, tmp_path):
+        far = _edge_json(tmp_path, [[[1000, 1000], [1002, 1000]],
+                                    [[1000.5, 1001], [1001.5, 1002.5]]])
+        near = _edge_json(tmp_path, [[[0, 0], [2, 0]], [[0.5, 1], [1.5, 2.5]]])
+        assert far["validation"]["status"] == "ok"
+        assert far["validation"] == near["validation"]
+
+    def test_similarity_keeps_oracle_vertex_count(self, tmp_path, rng):
+        for _ in range(40):
+            cfg = random_config(rng)
+            pair = [cfg.canonical_s1(), cfg.canonical_s2()]
+            t = SimilarityTransform(float(rng.uniform(-np.pi, np.pi)),
+                                    float(rng.uniform(0.2, 5.0)),
+                                    tuple(float(v) for v in rng.uniform(-1000, 1000, 2)))
+            here, moved = (
+                _edge_json(tmp_path, [[list(p) for p in s.endpoints] for s in segments])
+                ["validation"].get("oracle_vertex_count")
+                for segments in (pair, [t.apply_segment(s) for s in pair])
+            )
+            assert here is not None and here == moved
 
 
 class TestDiagramCommand:

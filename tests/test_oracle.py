@@ -47,7 +47,7 @@ class TestAngleGap:
         assert angle_gap(Point(0.0, 1.0), S1, MIRROR_TWIN) > 0.0
 
     def test_node_point_is_equal_angle(self, node_config):
-        s1, s2 = build_edge(node_config).world_segments()
+        s1, s2 = node_config.canonical_s1(), node_config.canonical_s2()
         assert abs(angle_gap(Point(-1.0, 2.0), s1, s2)) <= 1e-9
 
     def test_endpoint_propagates(self):
@@ -275,7 +275,7 @@ class TestValidateCurve:
         assert report.oracle_vertex_count > 500
         # the sampling covers the node's vicinity
         samples = implicit_polylines(
-            normalize(curve.world_poly), GridSpec(-4.0, 4.0, -4.0, 4.0, 512, 512)
+            normalize(curve.poly), GridSpec(-4.0, 4.0, -4.0, 4.0, 512, 512)
         ).vertices()
         assert np.hypot(samples[:, 0] + 1.0, samples[:, 1] - 2.0).min() <= 0.1
         assert 0.0 < report.realized_fraction <= 1.0
@@ -294,12 +294,20 @@ class TestValidateCurve:
         s1w = t.apply_segment(cfg.world_s1())
         s2w = t.apply_segment(cfg.world_s2())
         world = build_edge(canonicalize(s1w, s2w))
-        # same window, mapped: use the canonical window scaled by the transform
-        half = 6.0 * max(1.0, 0.5 * (abs(cfg.a) + abs(cfg.b) + cfg.l)) * t.scale
-        cx, cy = t(Point(0.0, 0.0)).x, t(Point(0.0, 0.0)).y
-        grid_w = GridSpec(cx - half, cx + half, cy - half, cy + half, 128, 128)
-        rep_w = validate_curve(world, grid_w)
+        # a world window around the moved pair, validated on its preimage
+        grid_w = GridSpec.canonical_window(cfg, 128).mapped(t)
+        rep_w = validate_curve(world, grid_w.mapped(world.config.to_world.inverse()))
         assert rep_c.passed and rep_w.passed
+
+    def test_mapped_window(self):
+        grid = GridSpec(-1.0, 3.0, 0.0, 2.0, 40, 20)
+        assert grid.mapped(SimilarityTransform.identity()) is grid
+        quarter = SimilarityTransform(0.5 * math.pi, 2.0, (10.0, 0.0))
+        got = grid.mapped(quarter)
+        # (x, y) -> (10 - 2y, 2x): x in [6, 10], y in [-2, 6]
+        assert (got.nx, got.ny) == (40, 20)
+        assert np.allclose([got.x_min, got.x_max, got.y_min, got.y_max],
+                           [6.0, 10.0, -2.0, 6.0], rtol=0, atol=1e-12)
 
     def test_empty_when_nothing_in_window(self):
         cfg = CanonicalConfig.from_angle(0.1, 0.05, 0.9, 0.2)
@@ -312,7 +320,7 @@ class TestValidateCurve:
         curve = build_edge(node_config)
         grid = GridSpec.canonical_window(node_config, 128)
         got = validate_curve(curve, grid).curve_polylines
-        want = implicit_polylines(normalize(curve.world_poly), grid).polylines
+        want = implicit_polylines(normalize(curve.poly), grid).polylines
         # the nodal cubic's loop is in the window
         assert any(len(p) > 2 and np.array_equal(p[0], p[-1]) for p in want)
         assert len(got) == len(want)
