@@ -15,8 +15,9 @@ Frames: class payloads, "validation" and the report's curve_polylines are
 in the canonical frame of the pair; predicate witnesses and the SVG are in
 the world frame; a config "grid" is a world window (validation runs over
 the bounding box of its preimage). Exit codes: 2 malformed config, 3
-identical segments, 4 internal anomaly (a degree-1 edge, a cubic whose
-partials share a component, or a singular point with a vanishing Hessian).
+identical segments (or two coincident diagram sites), 4 internal anomaly
+(a degree-1 edge, a cubic whose partials share a component, or a singular
+point with a vanishing Hessian).
 """
 
 from __future__ import annotations
@@ -113,8 +114,11 @@ def load_scene(path: str) -> SceneConfig:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad canonical object: {exc}") from exc
 
+    pairs = raw.get("segments", [])
+    if not isinstance(pairs, list):
+        raise ConfigError("segments must be a list")
     segments = []
-    for i, pair in enumerate(raw.get("segments", [])):
+    for i, pair in enumerate(pairs):
         try:
             (x0, y0), (x1, y1) = pair
             segments.append(Segment.of((float(x0), float(y0)), (float(x1), float(y1))))

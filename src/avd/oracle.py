@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .edge import EdgeCurve
-from .geometry import Point, Segment, SimilarityTransform, visual_angle
+from .geometry import IdenticalSegments, Point, Segment, SimilarityTransform, visual_angle
 from .poly import BivariatePoly, normalize
 from .tolerances import (
     ANGLE_TOL,
@@ -122,7 +122,7 @@ class PolyLineSet:
 
 
 def _segment_angles(X: np.ndarray, Y: np.ndarray, s: Segment) -> np.ndarray:
-    """Visual angle of s from every point; NaN where a point is an endpoint."""
+    """Visual angle of s from every point; NaN at an endpoint or on overflow."""
     d0x = s.e0.x - X
     d0y = s.e0.y - Y
     d1x = s.e1.x - X
@@ -130,8 +130,10 @@ def _segment_angles(X: np.ndarray, Y: np.ndarray, s: Segment) -> np.ndarray:
     dot = d0x * d1x + d0y * d1y
     cross = d0x * d1y - d0y * d1x
     ang = np.arctan2(np.abs(cross), dot)
-    at_end = ((d0x == 0) & (d0y == 0)) | ((d1x == 0) & (d1y == 0))
-    if np.any(at_end):
+    # e.x - X == 0 exactly when X == e.x, so a point can sit on an endpoint
+    # only if that endpoint's x occurs in X and its y in Y; cheap on axes
+    if any(np.any(X == e.x) and np.any(Y == e.y) for e in s.endpoints):
+        at_end = ((d0x == 0) & (d0y == 0)) | ((d1x == 0) & (d1y == 0))
         ang = np.where(at_end, np.nan, ang)
     return ang
 
@@ -359,31 +361,24 @@ def rasterize_diagram(sites: Sequence[Segment], grid: GridSpec) -> LabeledRaster
     """
     if len(sites) < 2:
         raise ValueError("a diagram needs at least 2 sites")
-    for i, a in enumerate(sites):
-        for b in sites[i + 1 :]:
-            fwd = (a.e0, a.e1) == (b.e0, b.e1)
-            rev = (a.e0, a.e1) == (b.e1, b.e0)
-            if fwd or rev:
-                raise ValueError("sites must be pairwise distinct")
+    if len({frozenset(s.endpoints) for s in sites}) < len(sites):
+        raise IdenticalSegments("diagram sites must be pairwise distinct")
     X, Y = grid.xs()[None, :], grid.ys()[:, None]
     shape = (grid.ny, grid.nx)
     # running smallest and second smallest angle; a strict < keeps the
-    # lowest site index on exact ties
+    # lowest site index on exact ties. A NaN angle never wins `closer`, and
+    # np.maximum and np.minimum carry it into `second` for good.
     best = np.full(shape, np.inf)
     second = best.copy()
     labels = np.zeros(shape, dtype=int)
-    invalid = np.zeros(shape, dtype=bool)
     for k, s in enumerate(sites):
         a = _segment_angles(X, Y, s)
-        nan = np.isnan(a)
-        invalid |= nan
-        a[nan] = np.inf
         closer = a < best
-        second = np.minimum(second, np.where(closer, best, a))
-        best = np.where(closer, a, best)
-        labels[closer] = k
-    ties = (second - best) <= TIE_TOL
-    labels[ties | invalid] = BOUNDARY_LABEL
+        np.minimum(second, np.maximum(best, a), out=second)
+        np.copyto(best, a, where=closer)
+        np.copyto(labels, k, where=closer)
+    # negated, so a NaN second (a node on an endpoint, or overflow) is boundary
+    labels[~(second - best > TIE_TOL)] = BOUNDARY_LABEL
     return LabeledRaster(grid, labels)
 
 

@@ -164,34 +164,38 @@ def render_edge_scene(
 
 def render_diagram(raster: LabeledRaster, segments: Sequence[Segment]) -> str:
     """One fill color per region, horizontal runs merged into single rects,
-    boundary cells stroked dark, segments overdrawn."""
+    boundary cells stroked dark, segments overdrawn.
+
+    Rects come in row-major order, each row's runs left to right. Their x, y
+    and width are _Mapper.__call__'s IEEE operations as array expressions,
+    formatted once per column, row or run length: the same strings.
+    """
     grid = raster.grid
     m = _Mapper(grid)
     xs, ys = grid.xs(), grid.ys()
-    parts = _header(m)
     labels = raster.labels
     ny, nx = labels.shape
     cell_w = m.sx * (xs[1] - xs[0])
     cell_h = m.sy * (ys[1] - ys[0])
-    for iy in range(ny):
-        run_start = 0
-        row = labels[iy]
-        for ix in range(1, nx + 1):
-            if ix < nx and row[ix] == row[run_start]:
-                continue
-            label = int(row[run_start])
-            x0, y0 = m(xs[run_start], ys[iy])
-            w = cell_w * (ix - run_start)
-            color = (
-                "#333333"
-                if label == BOUNDARY_LABEL
-                else PALETTE[label % len(PALETTE)]
-            )
-            parts.append(
-                f'<rect x="{_fmt(x0 - 0.5 * cell_w)}" y="{_fmt(y0 - 0.5 * cell_h)}" '
-                f'width="{_fmt(w)}" height="{_fmt(cell_h)}" fill="{color}"/>'
-            )
-            run_start = ix
+    x_str = [_fmt(v) for v in ((xs - grid.x_min) * m.sx - 0.5 * cell_w).tolist()]
+    y_str = [_fmt(v) for v in ((grid.y_max - ys) * m.sy - 0.5 * cell_h).tolist()]
+    w_str = [""] + [_fmt(v) for v in (cell_w * np.arange(1, nx + 1)).tolist()]
+    height = _fmt(cell_h)
+    # a run starts at each row's first node and wherever the label changes;
+    # every row starts a run, so a run ends where the next one starts
+    starts = np.ones((ny, nx), dtype=bool)
+    np.not_equal(labels[:, 1:], labels[:, :-1], out=starts[:, 1:])
+    flat = np.flatnonzero(starts)
+    widths = np.diff(flat, append=ny * nx)
+    parts = _header(m)
+    for start, width, label in zip(
+        flat.tolist(), widths.tolist(), labels.ravel()[flat].tolist()
+    ):
+        color = "#333333" if label == BOUNDARY_LABEL else PALETTE[label % len(PALETTE)]
+        parts.append(
+            f'<rect x="{x_str[start % nx]}" y="{y_str[start // nx]}" '
+            f'width="{w_str[width]}" height="{height}" fill="{color}"/>'
+        )
     parts += _segment_group(m, segments)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")  # one join, not a second full copy for the "\n"
+    return "\n".join(parts)

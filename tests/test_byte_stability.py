@@ -4,6 +4,9 @@ The diagram digest was recorded with the stacked, fully sorted rasterizer,
 before it was vectorized. The edge digests of these two world-frame scenes
 were recorded when `avd edge` moved to the canonical frame: validation runs
 over the canonical window and the SVG maps everything through `to_world`.
+The diagram SVG digest and the `avd diagram` summary digest (its `svg` path
+key dropped) were recorded with the per-cell `render_diagram` loop, before
+the renderer found its runs with numpy and formatted per-axis string tables.
 A change that alters a report, an SVG or a diagram label by a single byte
 fails here.
 """
@@ -15,6 +18,7 @@ import pytest
 
 from avd import GridSpec, Segment, rasterize_diagram
 from avd.cli import EXIT_OK, main
+from avd.svg import render_diagram
 from conftest import NODE_PAIR
 
 GENERIC_PAIR = [[[-1.3, 0.4], [0.9, 1.7]], [[0.2, -1.1], [2.4, 0.3]]]
@@ -26,6 +30,8 @@ EDGE_DIGESTS = {
                 "289da5771b0cfbb918e4103ecd0195e01f25401b233ef37da0063aca67089594"),
 }
 LABELS_DIGEST = "c1860674c9fc569200d47027cb34a9decc84241fad58dd8843f71012c38a01f2"
+DIAGRAM_SVG_DIGEST = "ef799a9f6406e253f489728e3d15e5bec63ad13152407f8c2ae71b24adb845df"
+DIAGRAM_SUMMARY_DIGEST = "fea53be20bdd13cab67719c2d6f3eabace2036d61e2a611dbf530227a24cd986"
 
 
 def _sha(data: bytes) -> str:
@@ -52,3 +58,21 @@ def sixteen_sites() -> list[Segment]:
 def test_diagram_label_bytes():
     raster = rasterize_diagram(sixteen_sites(), GridSpec(-5.0, 5.0, -5.0, 5.0, 200, 200))
     assert _sha(raster.labels.tobytes()) == LABELS_DIGEST
+
+
+def test_diagram_svg_bytes():
+    sites = sixteen_sites()
+    raster = rasterize_diagram(sites, GridSpec(-5.0, 5.0, -5.0, 5.0, 200, 200))
+    assert _sha(render_diagram(raster, sites).encode()) == DIAGRAM_SVG_DIGEST
+
+
+def test_diagram_summary_bytes(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(
+        {"segments": [[[p.x, p.y] for p in s.endpoints] for s in sixteen_sites()]}
+    ))
+    assert main(["diagram", str(scene), "--svg", str(tmp_path / "d.svg")]) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)
+    del summary["svg"]
+    text = json.dumps(summary, indent=2, sort_keys=True)
+    assert _sha(text.encode()) == DIAGRAM_SUMMARY_DIGEST

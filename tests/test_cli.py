@@ -108,6 +108,13 @@ class TestSceneLoading:
         path.write_text(json.dumps({"segments": [[[0, 0], [1, 0]]]}))
         assert main(["edge", str(path)]) == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("command", ["edge", "diagram"])
+    def test_rejects_non_list_segments(self, command, tmp_path, capsys):
+        path = tmp_path / "five.json"
+        path.write_text(json.dumps({"segments": 5}))
+        assert main([command, str(path), "--svg", str(tmp_path / "x.svg")]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestEdgeCommand:
     def test_report_on_stdout(self, pair_config, capsys):
@@ -284,6 +291,14 @@ class TestDiagramCommand:
         path = tmp_path / "one.json"
         path.write_text(json.dumps({"segments": [[[0, 0], [1, 0]]]}))
         assert main(["diagram", str(path), "--svg", str(tmp_path / "x.svg")]) == EXIT_BAD_CONFIG
+
+    def test_duplicate_sites_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(
+            {"segments": [[[0, 0], [1, 1]], [[2, 0], [3, 1]], [[1, 1], [0, 0]]]}
+        ))
+        assert main(["diagram", str(path), "--svg", str(tmp_path / "x.svg")]) == EXIT_IDENTICAL
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestVerifyCommand:

@@ -239,6 +239,20 @@ class TestRasterize:
         raster = rasterize_diagram([S1, PARALLEL], grid)
         assert raster.labels[1, 2] == BOUNDARY_LABEL
 
+    def test_overflowing_nodes_are_boundary(self):
+        # past about 1e154 the angle products overflow and the angle is NaN
+        sites = [Segment.of((-4e153, 1.2e153), (4e153, 2e153)),
+                 Segment.of((0.8e153, -8e153), (6e153, -4e153))]
+        grid = GridSpec.square(1.6e154, 9)
+        X, Y = np.meshgrid(grid.xs(), grid.ys())
+        with np.errstate(over="ignore", invalid="ignore"):
+            nan = np.isnan(oracle._segment_angles(X, Y, sites[0]))
+            nan |= np.isnan(oracle._segment_angles(X, Y, sites[1]))
+            labels = rasterize_diagram(sites, grid).labels
+        assert nan.any() and not nan.all()
+        assert (labels[nan] == BOUNDARY_LABEL).all()
+        assert (labels[~nan] != BOUNDARY_LABEL).any()
+
     def test_mirror_ties_on_node_column(self):
         # sites mirrored in the y axis see every node on x = 0 at exactly
         # the same angle; the grid has a node column there
