@@ -28,12 +28,12 @@ OUT = "demo_out"
 
 GALLERY = [
     ("regular-cubic", CanonicalConfig.from_angle(1.3, 0.7, 0.8, 0.5)),
-    ("nodal-cubic", CanonicalConfig.from_trig(2.0, 4 / 3, 5 / 3, -0.8, 0.6)),
+    ("nodal-cubic", CanonicalConfig(2.0, 4 / 3, 5 / 3, -0.8, 0.6)),
     ("chords-of-one-circle", CanonicalConfig.from_angle(1.0, 1.0, 1.0, -math.pi / 2)),
     ("collinear-unequal", CanonicalConfig.from_angle(3.0, 0.0, 0.5, math.pi)),
     ("shared-endpoint", CanonicalConfig.from_angle(-1.0 - 2.0 * 0.0, -2.0, 2.0, math.pi / 2)),
-    ("parallel-hyperbola", CanonicalConfig.from_trig(1.0, 1.0, 1.0, 0.0, -1.0)),
-    ("parallel-two-lines", CanonicalConfig.from_trig(2.0, 0.0, 1.0, 0.0, -1.0)),
+    ("parallel-hyperbola", CanonicalConfig(1.0, 1.0, 1.0, 0.0, -1.0)),
+    ("parallel-two-lines", CanonicalConfig(2.0, 0.0, 1.0, 0.0, -1.0)),
 ]
 
 
@@ -48,8 +48,10 @@ def main() -> None:
         try:
             report = validate_curve(curve, grid)
             verdict = f"containment {report.containment_residual:.1e}"
+            curve_polylines = report.curve_polylines
         except EmptyResult:
             verdict = "locus outside window"
+            curve_polylines = ()
 
         print(f"{name:22s} -> {cls.tag.value:28s} "
               f"[{', '.join(p.tag.value for p in preds) or 'no degeneracy'}] "
@@ -71,7 +73,7 @@ def main() -> None:
             grid.mapped(config.to_world),
             config.to_world,
             pair,
-            implicit_polylines(normalize(curve.poly), grid).polylines,
+            curve_polylines,
             implicit_polylines(normalize(curve.mirror_poly), grid).polylines,
             oracle,
             cls.singularities,

@@ -31,7 +31,7 @@ for a in (1.0, -1.0, 0.0, 0.3, -2.5):
     print(f"  a = {a:+.1f}: Hessian discriminant {disc:+.2f} -> {kind.value}")
 
 print("\nFull edge-curve example (direction cosines 3/5, -4/5):")
-config = CanonicalConfig.from_trig(2.0, 4.0 / 3.0, 5.0 / 3.0, -4.0 / 5.0, 3.0 / 5.0)
+config = CanonicalConfig(2.0, 4.0 / 3.0, 5.0 / 3.0, -4.0 / 5.0, 3.0 / 5.0)
 curve = build_edge(config)
 for sp in find_singularities(curve.poly):
     gx, gy = gradient(curve.poly, sp.location)

@@ -510,13 +510,10 @@ def _circumcircle(p1: Point, p2: Point, p3: Point) -> tuple[float, float, float]
     return (ux, uy, math.hypot(p1.x - ux, p1.y - uy))
 
 
-def _line_intersection(
-    p: Point, q: Point, r: Point, s: Segment | Point
-) -> Point | None:
+def _line_intersection(p: Point, q: Point, r: Point, s: Point) -> Point | None:
     """Intersection of line(p, q) with line(r, s)."""
-    sx, sy = (s.x, s.y) if isinstance(s, Point) else (s.e1.x, s.e1.y)
     d1 = (q.x - p.x, q.y - p.y)
-    d2 = (sx - r.x, sy - r.y)
+    d2 = (s.x - r.x, s.y - r.y)
     den = d1[0] * d2[1] - d1[1] * d2[0]
     if den == 0.0:
         return None
@@ -573,10 +570,7 @@ def detect_geometric_degeneracy(s1: Segment, s2: Segment) -> list[DegeneracyPred
         co = math.hypot(C.x - o.x, C.y - o.y)
         bo = math.hypot(B.x - o.x, B.y - o.y)
         do = math.hypot(D.x - o.x, D.y - o.y)
-        for (u, u_len, v_len, w_len, z_len) in (
-            ("first", ao, co, bo, do),
-            ("second", bo, do, ao, co),
-        ):
+        for (u_len, v_len, w_len, z_len) in ((ao, co, bo, do), (bo, do, ao, co)):
             if abs(u_len - v_len) <= dist_tol and abs(w_len - z_len) > dist_tol:
                 out.append(
                     DegeneracyPredicate(

@@ -5,11 +5,12 @@
     avd verify [--only NAME] [--seed N]
 
 Configs are JSON: {"segments": [[[x,y],[x,y]], ...]} with optional "grid"
-and "tolerances" objects; "tolerances" may set "factor", "angle" and
-"containment", whose defaults are FACTOR_TOL, ANGLE_TOL and CONTAINMENT_TOL
-in avd/tolerances.py. An edge run may instead supply {"canonical":
-{"a":..,"b":..,"l":..,"sin_alpha":..,"cos_alpha":..}} so exact rational
-direction cosines are expressible.
+and "tolerances" objects; "tolerances" may set only "factor", "angle" and
+"containment", each a finite number > 0, whose defaults are FACTOR_TOL,
+ANGLE_TOL and CONTAINMENT_TOL in avd/tolerances.py. An edge run may instead
+supply {"canonical": {"a":..,"b":..,"l":..,"sin_alpha":..,"cos_alpha":..}},
+the block's only form, so exact rational direction cosines are expressible;
+alpha is derived from them.
 
 Frames: class payloads, "validation" and the report's curve_polylines are
 in the canonical frame of the pair; predicate witnesses and the SVG are in
@@ -24,8 +25,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -59,6 +61,10 @@ EXIT_IDENTICAL = 3
 EXIT_ANOMALY = 4
 
 
+TOLERANCE_KEYS = ("factor", "angle", "containment")
+CANONICAL_KEYS = ("a", "b", "l", "sin_alpha", "cos_alpha")
+
+
 class ConfigError(ValueError):
     pass
 
@@ -69,6 +75,7 @@ class SceneConfig:
 
     segments: tuple[Segment, ...]
     grid: Optional[GridSpec] = None
+    #: float overrides, keyed by names in TOLERANCE_KEYS
     tolerances: dict = field(default_factory=dict)
     canonical: Optional[CanonicalConfig] = None
 
@@ -84,6 +91,22 @@ def _parse_grid(obj) -> GridSpec:
         raise ConfigError(f"bad grid object: {exc}") from exc
 
 
+def _parse_tolerances(obj) -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigError("tolerances must be an object")
+    out = {}
+    for key, value in obj.items():
+        if key not in TOLERANCE_KEYS:
+            raise ConfigError(f"unknown tolerance {key!r}")
+        try:
+            out[key] = float(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad tolerance {key!r}: {exc}") from exc
+        if not (math.isfinite(out[key]) and out[key] > 0):
+            raise ConfigError(f"tolerance {key!r} must be a finite number > 0")
+    return out
+
+
 def load_scene(path: str) -> SceneConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -94,24 +117,16 @@ def load_scene(path: str) -> SceneConfig:
         raise ConfigError("config root must be a JSON object")
 
     grid = _parse_grid(raw["grid"]) if "grid" in raw else None
-    tolerances = raw.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("tolerances must be an object")
+    tolerances = _parse_tolerances(raw.get("tolerances", {}))
 
     canonical = None
     if "canonical" in raw:
         c = raw["canonical"]
+        if not isinstance(c, dict) or set(c) != set(CANONICAL_KEYS):
+            raise ConfigError(f"canonical block needs exactly {', '.join(CANONICAL_KEYS)}")
         try:
-            if "sin_alpha" in c or "cos_alpha" in c:
-                canonical = CanonicalConfig.from_trig(
-                    float(c["a"]), float(c["b"]), float(c["l"]),
-                    float(c["sin_alpha"]), float(c["cos_alpha"]),
-                )
-            else:
-                canonical = CanonicalConfig.from_angle(
-                    float(c["a"]), float(c["b"]), float(c["l"]), float(c["alpha"])
-                )
-        except (KeyError, TypeError, ValueError) as exc:
+            canonical = CanonicalConfig(*(float(c[k]) for k in CANONICAL_KEYS))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad canonical object: {exc}") from exc
 
     pairs = raw.get("segments", [])
@@ -136,7 +151,7 @@ def load_scene(path: str) -> SceneConfig:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """JSON-safe classification record; encode/decode round-trips losslessly."""
+    """JSON-safe classification record; the compared fields are its JSON keys."""
 
     canonical: dict
     normalized_coefficients: dict
@@ -151,32 +166,10 @@ class ClassificationReport:
     curve_polylines: tuple = field(default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "canonical": self.canonical,
-            "normalized_coefficients": self.normalized_coefficients,
-            "edge_class": self.edge_class,
-            "mirror_class": self.mirror_class,
-            "predicates": self.predicates,
-            "validation": self.validation,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassificationReport":
-        return cls(
-            d["canonical"],
-            d["normalized_coefficients"],
-            d["edge_class"],
-            d["mirror_class"],
-            d["predicates"],
-            d["validation"],
-        )
-
-    @classmethod
-    def from_json(cls, s: str) -> "ClassificationReport":
-        return cls.from_dict(json.loads(s))
 
 
 def _coeff_list(poly) -> list:
@@ -237,13 +230,7 @@ def build_report(curve: EdgeCurve, grid: GridSpec, tol: float, angle_tol: float,
     except EmptyResult as exc:
         validation = {"status": "empty", "reason": str(exc)}
     return ClassificationReport(
-        canonical={
-            "a": config.a,
-            "b": config.b,
-            "l": config.l,
-            "sin_alpha": config.sin_alpha,
-            "cos_alpha": config.cos_alpha,
-        },
+        canonical={k: getattr(config, k) for k in CANONICAL_KEYS},
         normalized_coefficients={
             "branch": _coeff_list(curve.poly),
             "mirror": _coeff_list(curve.mirror_poly),
@@ -273,9 +260,9 @@ def cmd_edge(args) -> int:
         config = canonicalize(scene.segments[0], scene.segments[1])
 
     curve = build_edge(config)
-    tol = float(scene.tolerances.get("factor", FACTOR_TOL))
-    angle_tol = float(scene.tolerances.get("angle", ANGLE_TOL))
-    containment_tol = float(scene.tolerances.get("containment", CONTAINMENT_TOL))
+    tol = scene.tolerances.get("factor", FACTOR_TOL)
+    angle_tol = scene.tolerances.get("angle", ANGLE_TOL)
+    containment_tol = scene.tolerances.get("containment", CONTAINMENT_TOL)
     # the canonical window, and the world window the SVG draws
     if scene.grid is None:
         grid = GridSpec.canonical_window(config, 256)

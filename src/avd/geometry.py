@@ -2,7 +2,7 @@
 
 The canonical frame fixes the first segment on the x-axis with endpoints
 (-1, 0) and (1, 0); the second segment is then described by its midpoint
-(a, b), half-length l, and direction angle alpha.
+(a, b), half-length l, and direction (cos alpha, sin alpha).
 """
 
 from __future__ import annotations
@@ -120,63 +120,42 @@ class SimilarityTransform:
         )
 
 
-def _wrap_angle(theta: float) -> float:
-    """Wrap to (-pi, pi]."""
-    w = math.remainder(theta, 2.0 * math.pi)
-    if w <= -math.pi:
-        w += 2.0 * math.pi
-    return w
-
-
 @dataclass(frozen=True)
 class CanonicalConfig:
     """Second-segment parameters in the canonical frame, plus the map back.
 
-    sin_alpha/cos_alpha are carried explicitly so exact rational direction
-    cosines survive instead of being recomputed from alpha.
+    The direction is held only as (sin_alpha, cos_alpha), so exact rational
+    direction cosines survive; alpha is derived from them.
     """
 
     a: float
     b: float
     l: float
-    alpha: float
     sin_alpha: float
     cos_alpha: float
     to_world: SimilarityTransform = field(default_factory=SimilarityTransform.identity)
 
     def __post_init__(self) -> None:
-        _require_finite(self.a, self.b, self.l, self.alpha)
+        _require_finite(self.a, self.b, self.l, self.sin_alpha, self.cos_alpha)
         if not self.l > 0:
             raise ValueError("l must be positive")
         norm = self.sin_alpha**2 + self.cos_alpha**2
         if abs(norm - 1.0) > UNIT_CIRCLE_TOL:
             raise ValueError("sin_alpha, cos_alpha must lie on the unit circle")
 
-    @classmethod
-    def from_angle(
-        cls, a: float, b: float, l: float, alpha: float,
-        to_world: SimilarityTransform | None = None,
-    ) -> "CanonicalConfig":
-        return cls(
-            a, b, l, _wrap_angle(alpha), math.sin(alpha), math.cos(alpha),
-            to_world or SimilarityTransform.identity(),
-        )
+    @property
+    def alpha(self) -> float:
+        """Direction angle of s2, atan2(sin_alpha, cos_alpha), in [-pi, pi]."""
+        return math.atan2(self.sin_alpha, self.cos_alpha)
 
     @classmethod
-    def from_trig(
-        cls, a: float, b: float, l: float, sin_alpha: float, cos_alpha: float,
-        to_world: SimilarityTransform | None = None,
-    ) -> "CanonicalConfig":
-        return cls(
-            a, b, l, math.atan2(sin_alpha, cos_alpha), sin_alpha, cos_alpha,
-            to_world or SimilarityTransform.identity(),
-        )
+    def from_angle(cls, a: float, b: float, l: float, alpha: float) -> "CanonicalConfig":
+        return cls(a, b, l, math.sin(alpha), math.cos(alpha))
 
     def mirrored(self) -> "CanonicalConfig":
         """Same segment pair with the opposite labeling of s2's endpoints."""
         return CanonicalConfig(
-            self.a, self.b, self.l, _wrap_angle(self.alpha + math.pi),
-            -self.sin_alpha, -self.cos_alpha, self.to_world,
+            self.a, self.b, self.l, -self.sin_alpha, -self.cos_alpha, self.to_world
         )
 
     def canonical_s1(self) -> Segment:
@@ -222,8 +201,9 @@ def canonicalize(s1: Segment, s2: Segment) -> CanonicalConfig:
 
     s1's first endpoint goes to (-1, 0) and its second to (1, 0). s2's
     endpoints are ordered lexicographically (by x, then y) in world
-    coordinates before measuring alpha; the opposite labeling describes the
-    same point set and is reachable via CanonicalConfig.mirrored().
+    coordinates before measuring its direction; the opposite labeling
+    describes the same point set and is reachable via
+    CanonicalConfig.mirrored().
 
     Raises:
         IdenticalSegments: s1 and s2 coincide as point sets.
@@ -252,9 +232,5 @@ def canonicalize(s1: Segment, s2: Segment) -> CanonicalConfig:
     a = 0.5 * (e0c.x + e1c.x)
     b = 0.5 * (e0c.y + e1c.y)
     ux, uy = e1c.x - e0c.x, e1c.y - e0c.y
-    half_len = 0.5 * math.hypot(ux, uy)
-    alpha = math.atan2(uy, ux)
     norm = math.hypot(ux, uy)
-    return CanonicalConfig(
-        a, b, half_len, alpha, uy / norm, ux / norm, to_world
-    )
+    return CanonicalConfig(a, b, 0.5 * norm, uy / norm, ux / norm, to_world)

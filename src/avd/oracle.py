@@ -11,7 +11,7 @@ independent check of the algebraic curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -416,19 +416,9 @@ class ValidationReport:
     curve_polylines: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "containment_residual": self.containment_residual,
-            "convention_residual": self.convention_residual,
-            "oracle_vertex_count": self.oracle_vertex_count,
-            "curve_sample_count": self.curve_sample_count,
-            "realized_fraction": self.realized_fraction,
-            "mirror_only_vertices": self.mirror_only_vertices,
-            "carrier_line_nodes": self.carrier_line_nodes,
-            "containment_tol": self.containment_tol,
-            "angle_tol": self.angle_tol,
-            "passed": self.passed,
-            "notes": list(self.notes),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        out["notes"] = list(self.notes)
+        return out
 
 
 def _carrier_line_nodes(grid: GridSpec, segments: Sequence[Segment]) -> int:

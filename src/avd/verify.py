@@ -33,7 +33,7 @@ DEFAULT_SEED = 20240811
 
 #: Configuration whose edge is an irreducible cubic with a node at (-1, 2);
 #: the direction cosines are the exact rationals (3/5, -4/5).
-NODE_CONFIG = CanonicalConfig.from_trig(2.0, 4.0 / 3.0, 5.0 / 3.0, -4.0 / 5.0, 3.0 / 5.0)
+NODE_CONFIG = CanonicalConfig(2.0, 4.0 / 3.0, 5.0 / 3.0, -4.0 / 5.0, 3.0 / 5.0)
 
 #: The ten coefficients of that edge, graded-lex order (x^3 ... 1).
 NODE_COEFFS = {
@@ -391,7 +391,7 @@ def run_degree1(seed: int) -> ScenarioResult:
     # uniform draws almost never land on the degree-2 family, where one more
     # cancellation would show: l*cos(alpha) = -1 and l*sin(alpha) = 0
     configs += [
-        CanonicalConfig.from_trig(
+        CanonicalConfig(
             float(rng.uniform(-4.0, 4.0)), float(rng.uniform(-4.0, 4.0)), 1.0, 0.0, -1.0
         )
         for _ in range(100)

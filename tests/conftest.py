@@ -21,7 +21,7 @@ NODE_PAIR = [
 @pytest.fixture
 def node_config() -> CanonicalConfig:
     """Configuration whose edge cubic is irreducible with a node at (-1, 2)."""
-    return CanonicalConfig.from_trig(2.0, 4.0 / 3.0, 5.0 / 3.0, -4.0 / 5.0, 3.0 / 5.0)
+    return CanonicalConfig(2.0, 4.0 / 3.0, 5.0 / 3.0, -4.0 / 5.0, 3.0 / 5.0)
 
 
 @pytest.fixture

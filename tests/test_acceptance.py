@@ -87,7 +87,7 @@ def test_degree_two_dichotomy():
     for _ in range(20):
         a = float(rng.uniform(-3, 3))
         b = float(rng.uniform(-3, 3))
-        poly = build_edge(CanonicalConfig.from_trig(a, b, 1.0, 0.0, -1.0)).poly
+        poly = build_edge(CanonicalConfig(a, b, 1.0, 0.0, -1.0)).poly
         want = {(2, 0): b, (1, 1): -2 * a, (0, 2): -b,
                 (0, 1): a * a + b * b, (0, 0): -b}
         for (i, j), v in want.items():
@@ -96,7 +96,7 @@ def test_degree_two_dichotomy():
     # b = 0: two orthogonal lines
     for _ in range(10):
         a = float(rng.uniform(0.2, 3.0)) * (1 if rng.random() < 0.5 else -1)
-        cls = classify_edge(build_edge(CanonicalConfig.from_trig(a, 0.0, 1.0, 0.0, -1.0)))
+        cls = classify_edge(build_edge(CanonicalConfig(a, 0.0, 1.0, 0.0, -1.0)))
         if cls.tag is not EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES:
             ok = False
             continue
@@ -108,7 +108,7 @@ def test_degree_two_dichotomy():
     for _ in range(50):
         a = float(rng.uniform(-3, 3))
         b = float(rng.uniform(0.05, 3.0)) * (1 if rng.random() < 0.5 else -1)
-        cls = classify_edge(build_edge(CanonicalConfig.from_trig(a, b, 1.0, 0.0, -1.0)))
+        cls = classify_edge(build_edge(CanonicalConfig(a, b, 1.0, 0.0, -1.0)))
         factorable = abs(a * a + b * b - 4.0) <= 1e-8
         want = (
             EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES

@@ -266,7 +266,7 @@ class TestClassifyEdge:
         assert sp.kind is SingularityKind.NODE
 
     def test_two_lines_case(self):
-        cfg = CanonicalConfig.from_trig(2.0, 0.0, 1.0, 0.0, -1.0)
+        cfg = CanonicalConfig(2.0, 0.0, 1.0, 0.0, -1.0)
         cls = classify_edge(build_edge(cfg))
         assert cls.tag is EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES
         l1, l2 = cls.lines

@@ -12,7 +12,6 @@ from avd.cli import (
     EXIT_BAD_CONFIG,
     EXIT_IDENTICAL,
     EXIT_OK,
-    ClassificationReport,
     build_report,
     load_scene,
     main,
@@ -108,6 +107,53 @@ class TestSceneLoading:
         path.write_text(json.dumps({"segments": [[[0, 0], [1, 0]]]}))
         assert main(["edge", str(path)]) == EXIT_BAD_CONFIG
 
+    def test_tolerances_parsed_to_floats(self, tmp_path):
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps({"segments": [[[-1, 0], [1, 0]], [[0, 1], [2, 1]]],
+                                    "tolerances": {"factor": 1, "angle": "1e-3"}}))
+        tolerances = load_scene(str(path)).tolerances
+        assert tolerances == {"factor": 1.0, "angle": 1e-3}
+        assert all(type(v) is float for v in tolerances.values())
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            {"factor": "abc"},
+            {"containment": "nan"},
+            {"angle": "inf"},
+            {"factor": 0},
+            {"containment": -1e-5},
+            {"angle": None},
+            {"factor": [1e-8]},
+            {"residual": 1e-8},
+            [1e-8],
+        ],
+    )
+    def test_rejects_bad_tolerances(self, block, tmp_path, capsys):
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps({"segments": [[[-1, 0], [1, 0]], [[0, 1], [2, 1]]],
+                                    "tolerances": block}))
+        assert main(["edge", str(path)]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            {"a": 2.0, "b": 1.0, "l": 1.0, "alpha": 0.5},
+            {"a": 2.0, "b": 1.0, "l": 1.0, "alpha": 0.5, "sin_alpha": 0.0, "cos_alpha": 1.0},
+            {"a": 2.0, "b": 1.0, "l": 1.0, "sin_alpha": 0.0},
+            {"a": 2.0, "b": 1.0, "l": 1.0, "sin_alpha": "nan", "cos_alpha": 1.0},
+            [2.0, 1.0, 1.0, 0.0, 1.0],
+        ],
+    )
+    def test_rejects_other_canonical_forms(self, block, tmp_path, capsys):
+        path = tmp_path / "canon.json"
+        path.write_text(json.dumps({"canonical": block}))
+        assert main(["edge", str(path)]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("command", ["edge", "diagram"])
     def test_rejects_non_list_segments(self, command, tmp_path, capsys):
         path = tmp_path / "five.json"
@@ -117,6 +163,17 @@ class TestSceneLoading:
 
 
 class TestEdgeCommand:
+    def test_report_canonical_block_is_a_scene(self, canonical_config_file, tmp_path,
+                                               capsys):
+        assert main(["edge", canonical_config_file]) == EXIT_OK
+        first = capsys.readouterr().out
+        scene = json.loads(open(canonical_config_file).read())
+        scene["canonical"] = json.loads(first)["canonical"]
+        path = tmp_path / "again.json"
+        path.write_text(json.dumps(scene))
+        assert main(["edge", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == first
+
     def test_report_on_stdout(self, pair_config, capsys):
         assert main(["edge", pair_config]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
@@ -314,6 +371,12 @@ class TestVerifyCommand:
         assert main(["verify", "--only", "degree1"]) == EXIT_OK
         assert "degrees seen: [2, 3]" in capsys.readouterr().out
 
+    def test_full_run_passes_every_scenario(self, capsys):
+        assert main(["verify"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert sum("  PASS  " in row for row in rows) == 10
+        assert rows[-1] == "10/10 scenarios passed"
+
 
 class TestReportRoundTrip:
     def test_json_round_trip(self, node_config):
@@ -321,6 +384,4 @@ class TestReportRoundTrip:
         report = build_report(
             curve, GridSpec(-4, 4, -4, 4, 96, 96), 1e-8, 1e-6, 1e-5
         )
-        again = ClassificationReport.from_json(report.to_json())
-        assert again == report
-        assert again.to_json() == report.to_json()
+        assert json.loads(report.to_json()) == report.to_dict()

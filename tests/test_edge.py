@@ -41,7 +41,7 @@ class TestBuildEdge:
             assert poly.coefficient(i, j) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_congruent_parallel_conic(self):
-        cfg = CanonicalConfig.from_trig(2.0, 1.5, 1.0, 0.0, -1.0)
+        cfg = CanonicalConfig(2.0, 1.5, 1.0, 0.0, -1.0)
         poly = build_edge(cfg).poly
         a, b = 2.0, 1.5
         want = {
@@ -55,7 +55,7 @@ class TestBuildEdge:
     def test_collinear_half_length_expansion(self):
         # y * {(3/2)x^2 + (3/2)y^2 - x - 1/2}; the constant inside the brace
         # is pinned by evaluating the defining product directly.
-        cfg = CanonicalConfig.from_trig(0.5, 0.0, 0.5, 0.0, 1.0)
+        cfg = CanonicalConfig(0.5, 0.0, 0.5, 0.0, 1.0)
         poly = build_edge(cfg).poly
         want = {(0, 3): 1.5, (2, 1): 1.5, (1, 1): -1.0, (0, 1): -0.5}
         for (i, j), v in want.items():
@@ -80,10 +80,10 @@ class TestBuildEdge:
 
     def test_identical_pair_raises(self):
         with pytest.raises(ZeroPolynomial):
-            build_edge(CanonicalConfig.from_trig(0.0, 0.0, 1.0, 0.0, -1.0))
+            build_edge(CanonicalConfig(0.0, 0.0, 1.0, 0.0, -1.0))
         # opposite labeling of the same degenerate pair
         with pytest.raises(ZeroPolynomial):
-            build_edge(CanonicalConfig.from_trig(0.0, 0.0, 1.0, 0.0, 1.0))
+            build_edge(CanonicalConfig(0.0, 0.0, 1.0, 0.0, 1.0))
 
 
 class TestLeadingCoefficients:
@@ -91,11 +91,11 @@ class TestLeadingCoefficients:
         assert leading_coefficients(node_config) == pytest.approx((2.0, 4.0 / 3.0))
 
     def test_degree_drop_pair(self):
-        cfg = CanonicalConfig.from_trig(1.0, 1.0, 1.0, 0.0, -1.0)
+        cfg = CanonicalConfig(1.0, 1.0, 1.0, 0.0, -1.0)
         assert leading_coefficients(cfg) == (0.0, 0.0)
 
     def test_aligned_unit(self):
-        cfg = CanonicalConfig.from_trig(3.0, 0.0, 1.0, 0.0, 1.0)
+        cfg = CanonicalConfig(3.0, 0.0, 1.0, 0.0, 1.0)
         assert leading_coefficients(cfg) == (2.0, 0.0)
 
     def test_cubic_coefficients_match_pairwise_exactly(self, rng):
@@ -114,9 +114,9 @@ class TestLeadingCoefficients:
             assert effective_degree(build_edge(cfg).poly) <= 3
 
     def test_degree_two_iff_leading_terms_vanish(self):
-        drop = build_edge(CanonicalConfig.from_trig(1.0, 2.0, 1.0, 0.0, -1.0))
+        drop = build_edge(CanonicalConfig(1.0, 2.0, 1.0, 0.0, -1.0))
         assert effective_degree(drop.poly) == 2
-        keep = build_edge(CanonicalConfig.from_trig(1.0, 2.0, 1.0, 0.0, 1.0))
+        keep = build_edge(CanonicalConfig(1.0, 2.0, 1.0, 0.0, 1.0))
         assert effective_degree(keep.poly) == 3
 
 

@@ -180,7 +180,27 @@ class TestConfigValidation:
 
     def test_unit_trig(self):
         with pytest.raises(ValueError):
-            CanonicalConfig.from_trig(0.0, 1.0, 1.0, 0.5, 0.5)
+            CanonicalConfig(0.0, 1.0, 1.0, 0.5, 0.5)
+
+    @pytest.mark.parametrize(
+        "sin_alpha, cos_alpha",
+        [(math.nan, 1.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)],
+    )
+    def test_trig_requires_finite(self, sin_alpha, cos_alpha):
+        with pytest.raises(ValueError):
+            CanonicalConfig(0.0, 1.0, 1.0, sin_alpha, cos_alpha)
+
+    def test_alpha_is_derived_from_the_angle(self):
+        for theta in [*np.linspace(-3 * math.pi, 3 * math.pi, 97), -math.pi, math.pi]:
+            alpha = CanonicalConfig.from_angle(0.5, 1.0, 1.0, theta).alpha
+            assert -math.pi <= alpha <= math.pi
+            assert abs(math.remainder(alpha - theta, 2 * math.pi)) <= 1e-12
+
+    def test_mirrored_twice_is_identity(self, rng):
+        for _ in range(20):
+            cfg = canonicalize(random_segment(rng), random_segment(rng))
+            assert cfg.mirrored().mirrored() == cfg
+            assert cfg.mirrored() != cfg
 
     def test_point_requires_finite(self):
         with pytest.raises(ValueError):

@@ -295,7 +295,7 @@ class TestValidateCurve:
         assert 0.0 < report.realized_fraction <= 1.0
 
     def test_parallel_pair_against_conic(self):
-        cfg = CanonicalConfig.from_trig(1.0, 1.0, 1.0, 0.0, -1.0)
+        cfg = CanonicalConfig(1.0, 1.0, 1.0, 0.0, -1.0)
         report = validate_curve(build_edge(cfg), GridSpec.square(6.0, 256))
         assert report.passed
         assert report.containment_residual <= 1e-6
@@ -342,7 +342,7 @@ class TestValidateCurve:
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     def test_carrier_line_nodes_flagged(self):
-        cfg = CanonicalConfig.from_trig(3.0, 0.0, 0.5, 0.0, 1.0)
+        cfg = CanonicalConfig(3.0, 0.0, 0.5, 0.0, 1.0)
         report = validate_curve(build_edge(cfg), GridSpec.square(6.0, 65))
         # both carriers sit on the x-axis: one full row of nodes
         assert report.carrier_line_nodes >= 65
