@@ -7,6 +7,8 @@ cusp. The same Hessian test then pins the node of a full edge curve. Run:
     python demos/03_singularity_zoo.py
 """
 
+from numpy.polynomial import polynomial as npoly
+
 from avd import (
     BivariatePoly,
     CanonicalConfig,
@@ -15,6 +17,7 @@ from avd import (
     classify_singularity,
     find_singularities,
     gradient,
+    jet,
 )
 
 
@@ -25,7 +28,7 @@ def family(a: float) -> BivariatePoly:
 print("y^2 - x^2 (x + a): singular point at the origin, typed by a")
 for a in (1.0, -1.0, 0.0, 0.3, -2.5):
     f = family(a)
-    fxx, fxy, fyy = f.second_partials_at(Point(0.0, 0.0))
+    fxx, fxy, fyy = npoly.polyval2d(0.0, 0.0, jet(f)[..., 3:])
     disc = fxy * fxy - fxx * fyy
     kind = classify_singularity(f, Point(0.0, 0.0))
     print(f"  a = {a:+.1f}: Hessian discriminant {disc:+.2f} -> {kind.value}")

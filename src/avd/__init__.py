@@ -23,6 +23,7 @@ from .poly import (
     ZeroPolynomial,
     effective_degree,
     gradient,
+    jet,
     normalize,
 )
 from .edge import EdgeCurve, build_edge, leading_coefficients
@@ -105,6 +106,7 @@ __all__ = [
     "find_singularities",
     "gradient",
     "implicit_polylines",
+    "jet",
     "leading_coefficients",
     "normalize",
     "rasterize_diagram",

@@ -19,7 +19,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .edge import EdgeCurve
 from .geometry import Point, Segment
-from .poly import BivariatePoly, derivative, effective_degree, normalize, poly_mul
+from .poly import BivariatePoly, effective_degree, jet, normalize, poly_mul
 from .tolerances import (
     CUSP_BAND,
     FACTOR_TOL,
@@ -236,8 +236,11 @@ def classify_singularity(f: BivariatePoly, p: Point) -> SingularityKind:
     Raises:
         DegenerateJet: the whole Hessian vanishes at p.
     """
-    f = normalize(f)
-    fxx, fxy, fyy = f.second_partials_at(p)
+    return _kind(*npoly.polyval2d(p.x, p.y, jet(normalize(f))[..., 3:]), p)
+
+
+def _kind(fxx: float, fxy: float, fyy: float, p: Point) -> SingularityKind:
+    """classify_singularity's test on the second partials of normalize(f) at p."""
     hnorm_sq = fxx * fxx + 2.0 * fxy * fxy + fyy * fyy
     if hnorm_sq <= HESSIAN_FLOOR:
         raise DegenerateJet(f"all second partials vanish at ({p.x}, {p.y})")
@@ -252,15 +255,10 @@ def classify_singularity(f: BivariatePoly, p: Point) -> SingularityKind:
 _EPS = float(np.finfo(float).eps)
 
 
-def _within_rounding(value, magnitude) -> bool:
-    """Every |value| is within ROUNDING_ULPS epsilons of its `magnitude`."""
-    return bool(np.all(np.abs(value) <= ROUNDING_ULPS * _EPS * magnitude))
-
-
-def _vanishes_at(c: np.ndarray, p: Point) -> bool:
-    return _within_rounding(
-        npoly.polyval2d(p.x, p.y, c), npoly.polyval2d(abs(p.x), abs(p.y), np.abs(c))
-    )
+def _within_rounding(value, magnitude, axis=None):
+    """Every |value| is within ROUNDING_ULPS epsilons of its `magnitude`,
+    reduced over `axis` (over all of them by default)."""
+    return np.all(np.abs(value) <= ROUNDING_ULPS * _EPS * magnitude, axis=axis)
 
 
 def _resultant_y(cx: np.ndarray, cy: np.ndarray, sign: float = -1.0) -> np.ndarray:
@@ -281,24 +279,6 @@ def _resultant_y(cx: np.ndarray, cy: np.ndarray, sign: float = -1.0) -> np.ndarr
     return np.ones(1)
 
 
-def _polish(derivs: np.ndarray, p: Point) -> Point:
-    """A few Newton steps on (f_x, f_y) = 0 from p; derivs stacks the tables
-    of f_x, f_y, f_xx, f_xy, f_yy on its last axis. Stops early where the
-    Hessian is singular (a cusp candidate that is already exact) or a step
-    leaves the floats; acceptance, not this function, decides the result."""
-    for _ in range(POLISH_STEPS):
-        gx, gy, hxx, hxy, hyy = (float(v) for v in npoly.polyval2d(p.x, p.y, derivs))
-        det = hxx * hyy - hxy * hxy
-        if det == 0.0:
-            break
-        x = p.x - (gx * hyy - gy * hxy) / det
-        y = p.y - (gy * hxx - gx * hxy) / det
-        if not (math.isfinite(x) and math.isfinite(y)):
-            break
-        p = Point(x, y)
-    return p
-
-
 def find_singularities(f: BivariatePoly) -> list[SingularPoint]:
     """All real solutions of f = f_x = f_y = 0, typed, sorted by (x, y).
 
@@ -307,12 +287,15 @@ def find_singularities(f: BivariatePoly) -> list[SingularPoint]:
     resultant of f_x and f_y in y is a polynomial of degree at most 4 in x.
     The real part of each of its roots is substituted into both partials, and
     the real parts of the roots of both resulting polynomials in y are the
-    candidates, so two singular points with the same x are both found. Each
-    candidate gets a few Newton steps on (f_x, f_y) = 0 and is accepted when
-    f, f_x and f_y each vanish within ROUNDING_ULPS epsilons of their own
-    sum |c_ij| |x|^i |y|^j. Accepted points within MERGE_RADIUS * max(1, |p|)
-    of an earlier one are dropped. The search has no window, so a singular
-    point is found however far out it lies.
+    candidates, so two singular points with the same x are both found. All
+    candidates take POLISH_STEPS Newton steps on (f_x, f_y) = 0 together. A
+    step is kept only where the Hessian is regular and the new point finite;
+    a rejected step (a cusp candidate that is already exact) leaves its point
+    where it was, so every later step there is rejected too. A candidate is
+    accepted when f, f_x and f_y each vanish within ROUNDING_ULPS epsilons of
+    their own sum |c_ij| |x|^i |y|^j. Accepted points within
+    MERGE_RADIUS * max(1, |p|) of an earlier one are dropped. The search has
+    no window, so a singular point is found however far out it lies.
 
     Raises:
         SharedComponent: f_x and f_y vanish together along a curve (the
@@ -320,13 +303,14 @@ def find_singularities(f: BivariatePoly) -> list[SingularPoint]:
             whole vertical line), so elimination cannot isolate the singular
             points; f is not reduced, or is constant on that curve.
     """
-    f = normalize(f)
-    cx, cy = f.partial_arrays()
+    j = jet(normalize(f))
+    cx, cy = j[..., 1], j[..., 2]
     res = _resultant_y(cx, cy)
     if _within_rounding(res, _resultant_y(np.abs(cx), np.abs(cy), 1.0)):
         raise SharedComponent("the resultant of f_x and f_y vanishes identically")
 
-    candidates: list[Point] = []
+    xs: list[float] = []
+    ys: list[float] = []
     for x0 in np.unique(npoly.polyroots(res).real):
         in_y = []
         for c in (cx, cy):
@@ -335,25 +319,34 @@ def find_singularities(f: BivariatePoly) -> list[SingularPoint]:
                 in_y.append(coeffs)
         if not in_y:
             raise SharedComponent(f"f_x and f_y both vanish on the line x = {x0}")
-        candidates += [
-            Point(float(x0), float(y0)) for c in in_y for y0 in npoly.polyroots(c).real
-        ]
+        roots = [y0 for c in in_y for y0 in npoly.polyroots(c).real]
+        xs += [x0] * len(roots)
+        ys += roots
 
-    derivs = np.stack(
-        [cx, cy, derivative(cx, 0), derivative(cx, 1), derivative(cy, 1)], axis=-1
+    x, y = np.array(xs, dtype=float), np.array(ys, dtype=float)
+    for _ in range(POLISH_STEPS):
+        gx, gy, hxx, hxy, hyy = npoly.polyval2d(x, y, j[..., 1:])
+        det = hxx * hyy - hxy * hxy
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            nx = x - (gx * hyy - gy * hxy) / det
+            ny = y - (gy * hxx - gx * hxy) / det
+        # a zero det makes the step infinite or NaN, so this also drops it
+        step = np.isfinite(nx) & np.isfinite(ny)
+        x, y = np.where(step, nx, x), np.where(step, ny, y)
+
+    values = npoly.polyval2d(x, y, j)
+    ok = _within_rounding(
+        values[:3], npoly.polyval2d(np.abs(x), np.abs(y), np.abs(j[..., :3])), axis=0
     )
-    found: list[Point] = []
-    for p in candidates:
-        p = _polish(derivs, p)
-        if not all(_vanishes_at(c, p) for c in (f.coeffs, cx, cy)):
+    found: list[tuple[Point, list]] = []
+    for px, py, *hessian in zip(x[ok], y[ok], *values[3:, ok]):
+        radius = MERGE_RADIUS * max(1.0, math.hypot(px, py))
+        if any(math.hypot(px - q.x, py - q.y) <= radius for q, _ in found):
             continue
-        radius = MERGE_RADIUS * max(1.0, math.hypot(p.x, p.y))
-        if any(math.hypot(p.x - q.x, p.y - q.y) <= radius for q in found):
-            continue
-        found.append(p)
+        found.append((Point(float(px), float(py)), hessian))
 
-    found.sort(key=lambda p: (p.x, p.y))
-    return [SingularPoint(p, classify_singularity(f, p)) for p in found]
+    found.sort(key=lambda item: (item[0].x, item[0].y))
+    return [SingularPoint(p, _kind(*hessian, p)) for p, hessian in found]
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ in the canonical frame of the pair; predicate witnesses and the SVG are in
 the world frame; a config "grid" is a world window (validation runs over
 the bounding box of its preimage). Exit codes: 2 malformed config, 3
 identical segments (or two coincident diagram sites), 4 internal anomaly
-(a degree-1 edge, a cubic whose partials share a component, or a singular
-point with a vanishing Hessian).
+(a degree-1 edge, a cubic whose partials share a component, a singular
+point with a vanishing Hessian, or a degree-2 edge that misses the
+edge-conic pattern at the scene's "factor" tolerance).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .classify import (
     DegenerateJet,
     DegreeOneAnomaly,
     EdgeClass,
+    NotFromEdge,
     SharedComponent,
     classify_edge,
     detect_geometric_degeneracy,
@@ -82,10 +84,13 @@ class SceneConfig:
 
 def _parse_grid(obj) -> GridSpec:
     try:
+        nx, ny = float(obj["nx"]), float(obj["ny"])
+        if not (nx.is_integer() and ny.is_integer()):
+            raise ValueError("node counts must be whole numbers")
         return GridSpec(
             float(obj["xmin"]), float(obj["xmax"]),
             float(obj["ymin"]), float(obj["ymax"]),
-            int(obj["nx"]), int(obj["ny"]),
+            int(nx), int(ny),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid object: {exc}") from exc
@@ -382,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     except IdenticalSegments as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IDENTICAL
-    except (DegreeOneAnomaly, SharedComponent, DegenerateJet) as exc:
+    except (DegreeOneAnomaly, SharedComponent, DegenerateJet, NotFromEdge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANOMALY
 

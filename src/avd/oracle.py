@@ -58,8 +58,9 @@ class GridSpec:
     ny: int
 
     def __post_init__(self) -> None:
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("grid window must have positive extent")
+        if not (-math.inf < self.x_min < self.x_max < math.inf
+                and -math.inf < self.y_min < self.y_max < math.inf):
+            raise ValueError("grid window must be finite with positive extent")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
 

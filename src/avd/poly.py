@@ -87,18 +87,6 @@ class BivariatePoly:
         ]
         return "BivariatePoly(" + " ".join(terms) + ")"
 
-    def partial_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficient tables of df/dx and df/dy (exact differentiation)."""
-        return derivative(self._c, 0), derivative(self._c, 1)
-
-    def second_partials_at(self, p: Point) -> tuple[float, float, float]:
-        """(f_xx, f_xy, f_yy) at p."""
-        cx, cy = self.partial_arrays()
-        return tuple(
-            float(npoly.polyval2d(p.x, p.y, c))
-            for c in (derivative(cx, 0), derivative(cx, 1), derivative(cy, 1))
-        )
-
 
 def derivative(c: np.ndarray, axis: int) -> np.ndarray:
     """Coefficient table of the partial derivative in x (axis 0) or y (axis 1)."""
@@ -110,13 +98,20 @@ def derivative(c: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def jet(f: BivariatePoly) -> np.ndarray:
+    """Tables of f, f_x, f_y, f_xx, f_xy and f_yy stacked on the last axis, so
+    one npoly.polyval2d(x, y, jet(f)[..., k:m]) evaluates rows k:m at once."""
+    c = f.coeffs
+    cx, cy = derivative(c, 0), derivative(c, 1)
+    return np.stack(
+        [c, cx, cy, derivative(cx, 0), derivative(cx, 1), derivative(cy, 1)], axis=-1
+    )
+
+
 def gradient(f: BivariatePoly, p: Point) -> tuple[float, float]:
     """(df/dx, df/dy) at p, from exact coefficient-wise differentiation."""
-    cx, cy = f.partial_arrays()
-    return (
-        float(npoly.polyval2d(p.x, p.y, cx)),
-        float(npoly.polyval2d(p.x, p.y, cy)),
-    )
+    gx, gy = npoly.polyval2d(p.x, p.y, jet(f)[..., 1:3])
+    return float(gx), float(gy)
 
 
 def effective_degree(f: BivariatePoly) -> int:

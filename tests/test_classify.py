@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from avd import (
     BivariatePoly,
@@ -22,12 +23,14 @@ from avd import (
     factor_circle_line,
     find_singularities,
     gradient,
+    jet,
     normalize,
 )
 from avd.classify import Circle, Line, NotFromEdge
 from avd.edge import EdgeCurve
 from avd.poly import poly_mul
 from avd.verify import (
+    NODE_CONFIG,
     circle_distance,
     collinear_config,
     collinear_factors,
@@ -38,6 +41,7 @@ from avd.verify import (
     shared_endpoint_config,
     shared_endpoint_factors,
 )
+from conftest import singular_locus_draws
 
 
 def product_table(circle: tuple[float, float, float], line: tuple[float, float, float]):
@@ -194,6 +198,46 @@ class TestClassifySingularity:
         triple = BivariatePoly.from_terms({(3, 0): 1.0})
         with pytest.raises(DegenerateJet):
             classify_singularity(triple, Point(0.0, 0.0))
+
+
+class TestRightAngleNodes:
+    """A singular point of an edge cubic is a node with perpendicular tangents.
+
+    TestSymbolicTable pins 2F = cross1*dot2 + cross2*dot1, that is
+    F = Im(w1*w2) / 2 with w_k = conj(e0_k - z) * (e1_k - z) for z = x + iy.
+    So F = rho * sin(h), where rho = |w1| |w2| / 2 is positive off the
+    endpoints and h = arg w1 + arg w2 is a sum of arguments of holomorphic
+    functions, hence harmonic. Off the endpoints, F = 0 gives sin h = 0, and
+    then grad F = +-rho grad h, so F_x = F_y = 0 forces grad h = 0 and
+    Hess F = +-rho Hess h, which is trace-free: F_xx + F_yy = 0 and
+    D / |H|^2 = (F_xy^2 + F_xx^2) / (2 F_xx^2 + 2 F_xy^2) = 1/2. At an
+    endpoint the gradient is nonzero unless the endpoint is shared, and
+    shared-endpoint pairs factor as circle x line. So an edge never carries
+    a cusp or an isolated point.
+    """
+
+    @staticmethod
+    def hessian(config, p):
+        table = jet(normalize(build_edge(config).poly))[..., 3:]
+        fxx, fxy, fyy = npoly.polyval2d(p.x, p.y, table)
+        return fxx, fxy, fyy, fxx * fxx + 2.0 * fxy * fxy + fyy * fyy
+
+    def test_node_showcase_hessian_is_trace_free(self):
+        fxx, fxy, fyy, hnorm_sq = self.hessian(NODE_CONFIG, Point(-1.0, 2.0))
+        assert abs(fxx + fyy) <= 1e-13 * math.sqrt(hnorm_sq)
+        assert (fxy * fxy - fxx * fyy) / hnorm_sq == pytest.approx(0.5, abs=1e-13)
+
+    def test_singular_locus_draws_are_nodes(self):
+        draws = singular_locus_draws()
+        assert len(draws) >= 100
+        for config, p in draws:
+            fxx, _, fyy, hnorm_sq = self.hessian(config, p)
+            assert abs(fxx + fyy) <= 1e-12 * math.sqrt(hnorm_sq)
+            cls = classify_edge(build_edge(config))
+            assert cls.tag is EdgeClassTag.CUBIC_IRREDUCIBLE_SINGULAR
+            assert [sp.kind for sp in cls.singularities] == [SingularityKind.NODE]
+            q = cls.singularities[0].location
+            assert math.hypot(q.x - p.x, q.y - p.y) <= 1e-8 * max(1.0, math.hypot(*p))
 
 
 def congruent_parallel_conic(a: float, b: float) -> BivariatePoly:

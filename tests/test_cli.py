@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from avd import CanonicalConfig, GridSpec, Point, SimilarityTransform, build_edge
-from avd.classify import DegenerateJet, DegreeOneAnomaly, SharedComponent
+from avd.classify import DegenerateJet, DegreeOneAnomaly, NotFromEdge, SharedComponent
 from avd.cli import (
     EXIT_ANOMALY,
     EXIT_BAD_CONFIG,
@@ -162,6 +162,32 @@ class TestSceneLoading:
         assert capsys.readouterr().err.startswith("error:")
 
 
+    @pytest.mark.parametrize("command", ["edge", "diagram"])
+    @pytest.mark.parametrize(
+        "change", [{"xmax": "inf"}, {"ymin": "-inf"}, {"nx": 2.9}, {"ny": 16.5}]
+    )
+    def test_rejects_bad_grid(self, command, change, tmp_path, capsys):
+        grid = {"xmin": -4, "xmax": 4, "ymin": -4, "ymax": 4, "nx": 16, "ny": 16}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"segments": [[[-1, 0], [1, 0]], [[0, 1], [2, 1]]],
+                                    "grid": {**grid, **change}}))
+        assert main([command, str(path), "--svg", str(tmp_path / "x.svg")]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad grid object")
+
+    @pytest.mark.parametrize("count", [256, 256.0, "256"])
+    def test_whole_node_counts_run(self, count, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({
+            "segments": [[[-1, 0], [1, 0]], [[0, 1], [2, 1]]],
+            "grid": {"xmin": -4, "xmax": 4, "ymin": -4, "ymax": 4, "nx": count, "ny": 64},
+        }))
+        grid = load_scene(str(path)).grid
+        assert (grid.nx, type(grid.nx)) == (256, int)
+        assert main(["edge", str(path), "--out", str(tmp_path / "r.json")]) == EXIT_OK
+
+
 class TestEdgeCommand:
     def test_report_canonical_block_is_a_scene(self, canonical_config_file, tmp_path,
                                                capsys):
@@ -234,7 +260,7 @@ class TestEdgeCommand:
         monkeypatch.setattr(cli_mod, "build_report", boom)
         assert main(["edge", pair_config]) == EXIT_ANOMALY
 
-    @pytest.mark.parametrize("error", [SharedComponent, DegenerateJet])
+    @pytest.mark.parametrize("error", [SharedComponent, DegenerateJet, NotFromEdge])
     def test_classifier_errors_exit_code(self, error, pair_config, monkeypatch, capsys):
         import avd.cli as cli_mod
 
@@ -244,6 +270,24 @@ class TestEdgeCommand:
         monkeypatch.setattr(cli_mod, "classify_edge", boom)
         assert main(["edge", pair_config]) == EXIT_ANOMALY
         assert capsys.readouterr().err == "error: forced\n"
+
+    @pytest.mark.parametrize("factor, code", [(1e-16, EXIT_ANOMALY), (1e-15, EXIT_OK)])
+    def test_edge_conic_mismatch_exit_code(self, factor, code, tmp_path, capsys):
+        # a congruent antiparallel pair far from the origin: its degree-2
+        # edge misses the edge-conic pattern by rounding at factor 1e-16
+        path = tmp_path / "conic.json"
+        path.write_text(json.dumps({
+            "segments": [
+                [[11.517709952147797, -98.31893202787222],
+                 [8.319765117075988, -90.65742267490043]],
+                [[5.010896254598704, -85.19648414976783],
+                 [8.20884108967051, -92.85799350273962]],
+            ],
+            "tolerances": {"factor": factor},
+        }))
+        assert main(["edge", str(path), "--out", str(tmp_path / "r.json")]) == code
+        want = "error: quadratic does not match the edge-conic pattern\n"
+        assert capsys.readouterr().err == (want if code == EXIT_ANOMALY else "")
 
     def test_svg_deterministic(self, canonical_config_file, tmp_path, capsys):
         a = tmp_path / "a.svg"
