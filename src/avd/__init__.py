@@ -45,6 +45,7 @@ from .classify import (
     classify_quadratic,
     classify_singularity,
     detect_geometric_degeneracy,
+    edge_singularities,
     factor_circle_line,
     find_singularities,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "classify_quadratic",
     "classify_singularity",
     "detect_geometric_degeneracy",
+    "edge_singularities",
     "effective_degree",
     "extract_bisector",
     "factor_circle_line",

@@ -46,6 +46,7 @@ __all__ = [
     "SharedComponent",
     "factor_circle_line",
     "find_singularities",
+    "edge_singularities",
     "classify_singularity",
     "classify_quadratic",
     "classify_edge",
@@ -287,15 +288,9 @@ def find_singularities(f: BivariatePoly) -> list[SingularPoint]:
     resultant of f_x and f_y in y is a polynomial of degree at most 4 in x.
     The real part of each of its roots is substituted into both partials, and
     the real parts of the roots of both resulting polynomials in y are the
-    candidates, so two singular points with the same x are both found. All
-    candidates take POLISH_STEPS Newton steps on (f_x, f_y) = 0 together. A
-    step is kept only where the Hessian is regular and the new point finite;
-    a rejected step (a cusp candidate that is already exact) leaves its point
-    where it was, so every later step there is rejected too. A candidate is
-    accepted when f, f_x and f_y each vanish within ROUNDING_ULPS epsilons of
-    their own sum |c_ij| |x|^i |y|^j. Accepted points within
-    MERGE_RADIUS * max(1, |p|) of an earlier one are dropped. The search has
-    no window, so a singular point is found however far out it lies.
+    candidates, so two singular points with the same x are both found. The
+    candidates then go through _polish_and_accept. The search has no window,
+    so a singular point is found however far out it lies.
 
     Raises:
         SharedComponent: f_x and f_y vanish together along a curve (the
@@ -322,8 +317,63 @@ def find_singularities(f: BivariatePoly) -> list[SingularPoint]:
         roots = [y0 for c in in_y for y0 in npoly.polyroots(c).real]
         xs += [x0] * len(roots)
         ys += roots
+    return _polish_and_accept(j, np.array(xs, dtype=float), np.array(ys, dtype=float))
 
-    x, y = np.array(xs, dtype=float), np.array(ys, dtype=float)
+
+def _along_line(j: np.ndarray, x0, y0, dx, dy) -> np.ndarray:
+    """Coefficients (1, s, s^2) of f_x and f_y, one row each, on the line
+    (x0 + s*dx, y0 + s*dy), from the jet j: the value, the directional
+    derivative and half the constant second directional derivative."""
+    gx, gy, hxx, hxy, hyy = npoly.polyval2d(x0, y0, j[..., 1:])
+    quad = j[2, 0, 1:3] * dx * dx + j[1, 1, 1:3] * dx * dy + j[0, 2, 1:3] * dy * dy
+    return np.array([[gx, hxx * dx + hxy * dy, quad[0]], [gy, hxy * dx + hyy * dy, quad[1]]])
+
+
+def edge_singularities(f: BivariatePoly) -> list[SingularPoint]:
+    """The singular points of an unfactored edge cubic, found on its
+    Laplacian line instead of by elimination.
+
+    Each is a right-angle node (tests/test_classify.py::TestRightAngleNodes),
+    so f_xx + f_yy = 0 there. That sum is linear in any cubic; on an edge it
+    is 8*sigma*x + 8*t*y + const up to scale, with t = 1 + l*cos(alpha) and
+    sigma = -l*sin(alpha). Along the line f_x is a quadratic in the line
+    parameter, and the real parts of its roots are the candidates (f_y's, if
+    f_x vanishes on the line within rounding); _polish_and_accept finishes as
+    in find_singularities. The isolated point of a shared-endpoint branch
+    that factors is off the line and not found; classify_edge never asks.
+
+    Raises:
+        SharedComponent: f_x and f_y both vanish along the line.
+        NotFromEdge: f_xx + f_yy is constant, so f is not an edge cubic.
+    """
+    j = jet(normalize(f))
+    lap = j[..., 3] + j[..., 5]
+    w, u, v = lap[0, 0], lap[1, 0], lap[0, 1]
+    norm = math.hypot(u, v)
+    if norm == 0.0:
+        raise NotFromEdge("f_xx + f_yy is constant, so there is no Laplacian line")
+    x0, y0, dx, dy = -w * u / norm**2, -w * v / norm**2, -v / norm, u / norm
+    coeffs = _along_line(j, x0, y0, dx, dy)
+    bound = _along_line(np.abs(j), abs(x0), abs(y0), abs(dx), abs(dy))
+    rows = [c for c, m in zip(coeffs, bound) if not _within_rounding(c, m)]
+    if not rows:
+        raise SharedComponent("f_x and f_y both vanish on the line f_xx + f_yy = 0")
+    s = npoly.polyroots(rows[0]).real
+    return _polish_and_accept(j, x0 + s * dx, y0 + s * dy)
+
+
+def _polish_and_accept(j: np.ndarray, x: np.ndarray, y: np.ndarray) -> list[SingularPoint]:
+    """The singular points among the candidates (x, y) of the polynomial with
+    jet j, typed and sorted by (x, y).
+
+    All candidates take POLISH_STEPS Newton steps on (f_x, f_y) = 0 together.
+    A step is kept only where the Hessian is regular and the new point
+    finite; a rejected step (a cusp candidate that is already exact) leaves
+    its point where it was, so every later step there is rejected too. A
+    candidate is accepted when f, f_x and f_y each vanish within
+    ROUNDING_ULPS epsilons of their own sum |c_ij| |x|^i |y|^j. Accepted
+    points within MERGE_RADIUS * max(1, |p|) of an earlier one are dropped.
+    """
     for _ in range(POLISH_STEPS):
         gx, gy, hxx, hxy, hyy = npoly.polyval2d(x, y, j[..., 1:])
         det = hxx * hyy - hxy * hxy
@@ -442,11 +492,13 @@ def classify_edge(curve: EdgeCurve, tol: float = FACTOR_TOL) -> EdgeClass:
     """Table-style classification of the curve's own labeling branch.
 
     Degree 3: try the circle-times-line split; otherwise the cubic is
-    irreducible, and it is singular exactly when find_singularities, which
-    intersects the conics f_x = 0 and f_y = 0 through their resultant and
-    accepts points where f, f_x and f_y vanish to rounding, finds a point
-    anywhere in the plane. Degree 2: the quadratic dichotomy. Anything lower
-    signals a bug or an input that evaded canonicalization.
+    irreducible, and it is singular exactly when edge_singularities, which
+    intersects the cubic's Laplacian line f_xx + f_yy = 0 with the conic
+    f_x = 0 and accepts points where f, f_x and f_y vanish to rounding, finds
+    a point anywhere in the plane; find_singularities remains the general
+    search, by elimination, for any cubic. Degree 2: the quadratic
+    dichotomy. Anything lower signals a bug or an input that evaded
+    canonicalization.
 
     Raises:
         DegreeOneAnomaly: effective degree is 1 or 0.
@@ -458,7 +510,7 @@ def classify_edge(curve: EdgeCurve, tol: float = FACTOR_TOL) -> EdgeClass:
         factors = factor_circle_line(poly, tol)
         if factors is not None:
             return EdgeClass(EdgeClassTag.CUBIC_CIRCLE_TIMES_LINE, factors=factors)
-        sings = find_singularities(poly)
+        sings = edge_singularities(poly)
         if sings:
             return EdgeClass(
                 EdgeClassTag.CUBIC_IRREDUCIBLE_SINGULAR, singularities=tuple(sings)

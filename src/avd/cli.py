@@ -10,7 +10,8 @@ and "tolerances" objects; "tolerances" may set only "factor", "angle" and
 ANGLE_TOL and CONTAINMENT_TOL in avd/tolerances.py. An edge run may instead
 supply {"canonical": {"a":..,"b":..,"l":..,"sin_alpha":..,"cos_alpha":..}},
 the block's only form, so exact rational direction cosines are expressible;
-alpha is derived from them.
+alpha is derived from them. A diagram scene with a canonical block is
+malformed.
 
 Frames: class payloads, "validation" and the report's curve_polylines are
 in the canonical frame of the pair; predicate witnesses and the SVG are in
@@ -306,6 +307,8 @@ def cmd_edge(args) -> int:
 
 def cmd_diagram(args) -> int:
     scene = load_scene(args.config)
+    if scene.canonical is not None:
+        raise ConfigError("diagram command takes segments, not a canonical block")
     if len(scene.segments) < 2:
         raise ConfigError("diagram command needs at least 2 segments")
     grid = scene.grid

@@ -1,10 +1,11 @@
+import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from avd import BivariatePoly, CanonicalConfig, Point, Segment, jet
+from avd import BivariatePoly, CanonicalConfig, Point, Segment, canonicalize, jet, verify
 from avd.edge import _edge_coefficient_table
 from avd.verify import NODE_CONFIG
 
@@ -48,6 +49,55 @@ def random_segment(rng: np.random.Generator, span: float = 4.0) -> Segment:
         q = rng.uniform(-span, span, 2)
         if np.hypot(*(p - q)) > 1e-3:
             return Segment.of(tuple(p), tuple(q))
+
+
+def _concyclic(rng):
+    while True:
+        theta = float(rng.uniform(-math.pi, math.pi))
+        if abs(math.sin(theta) + 1.0) > 1e-2:
+            return verify.concyclic_config(theta, float(rng.uniform(-3.0, 3.0)))
+
+
+def _collinear(rng):
+    a, l = float(rng.uniform(-4.0, 4.0)), float(rng.uniform(0.1, 3.0))
+    while abs(l - 1.0) < 0.05:
+        l = float(rng.uniform(0.1, 3.0))
+    return verify.collinear_config(a, l, bool(rng.random() < 0.5))
+
+
+def _shared_endpoint(rng):
+    while True:
+        l, beta = float(rng.uniform(0.2, 3.0)), float(rng.uniform(-math.pi, math.pi))
+        if abs(l - 1.0) >= 0.05 or abs(abs(beta) - math.pi) >= 0.05:
+            return verify.shared_endpoint_config(l, beta)
+
+
+def _orthocross(rng):
+    t1, t2 = float(rng.uniform(0.15, 1.35)), float(rng.uniform(0.15, 1.35))
+    while abs(t1 - t2) < 0.05:
+        t2 = float(rng.uniform(0.15, 1.35))
+    return canonicalize(*verify.orthocross_segments(t1, t2))
+
+
+def _congruent_parallel(rng):
+    while True:
+        a = float(rng.uniform(-3.0, 3.0))
+        b = float(rng.uniform(0.05, 3.0)) * (1 if rng.random() < 0.5 else -1)
+        if abs(a * a + b * b - 4.0) > 0.05:
+            return CanonicalConfig.from_angle(a, b, 1.0, math.pi)
+
+
+#: Draws of each degenerate family with the parameter ranges and exclusions
+#: of bench/inputs.py, plus a random pair ("generic").
+FAMILIES = {
+    "concyclic": _concyclic,
+    "collinear": _collinear,
+    "shared-endpoint": _shared_endpoint,
+    "orthocross": _orthocross,
+    "congruent-parallel": _congruent_parallel,
+    "node": lambda rng: NODE_CONFIG,
+    "generic": lambda rng: canonicalize(random_segment(rng), random_segment(rng)),
+}
 
 
 @lru_cache(maxsize=None)

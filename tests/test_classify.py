@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from avd import (
@@ -16,6 +17,7 @@ from avd import (
     SharedComponent,
     SingularityKind,
     build_edge,
+    canonicalize,
     classify_edge,
     classify_quadratic,
     classify_singularity,
@@ -41,7 +43,7 @@ from avd.verify import (
     shared_endpoint_config,
     shared_endpoint_factors,
 )
-from conftest import singular_locus_draws
+from conftest import FAMILIES, singular_locus_draws
 
 
 def product_table(circle: tuple[float, float, float], line: tuple[float, float, float]):
@@ -211,9 +213,17 @@ class TestRightAngleNodes:
     then grad F = +-rho grad h, so F_x = F_y = 0 forces grad h = 0 and
     Hess F = +-rho Hess h, which is trace-free: F_xx + F_yy = 0 and
     D / |H|^2 = (F_xy^2 + F_xx^2) / (2 F_xx^2 + 2 F_xy^2) = 1/2. At an
-    endpoint the gradient is nonzero unless the endpoint is shared, and
-    shared-endpoint pairs factor as circle x line. So an edge never carries
-    a cusp or an isolated point.
+    endpoint the gradient is nonzero unless the endpoint P is shared, and
+    then only one labeling factors. Put u = P - z. If P = e1_1 = e0_2, then
+    w1*w2 = |u|^2 * conj(e0_1 - z) * (e1_2 - z): a point circle at P times a
+    line, so that branch takes the circle x line path. If P ends both
+    segments alike (e1_1 = e1_2, or e0_1 = e0_2), then w1*w2 carries u^2
+    (or conj(u)^2), and the leading part of F at P is Im(c * u^2) (or
+    Im(c * conj(u)^2)) with c != 0: harmonic and of degree 2. So F and grad F
+    vanish at P and Hess F is still trace-free and nonzero, a right-angle
+    node on the Laplacian line. So an edge that does not factor never carries
+    a cusp or an isolated point, and each singular point lies on the line
+    F_xx + F_yy = 0, where edge_singularities looks for it.
     """
 
     @staticmethod
@@ -238,6 +248,52 @@ class TestRightAngleNodes:
             assert [sp.kind for sp in cls.singularities] == [SingularityKind.NODE]
             q = cls.singularities[0].location
             assert math.hypot(q.x - p.x, q.y - p.y) <= 1e-8 * max(1.0, math.hypot(*p))
+
+    def test_unfactored_shared_endpoint_branch_is_a_node_at_the_endpoint(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(300):
+            config = FAMILIES["shared-endpoint"](rng)
+            # the labeling whose branch factors is config's own; the mirror is
+            # the one that ends both segments at P = (-1, 0)
+            cls = classify_edge(build_edge(config).mirrored())
+            assert cls.tag is EdgeClassTag.CUBIC_IRREDUCIBLE_SINGULAR
+            assert [sp.kind for sp in cls.singularities] == [SingularityKind.NODE]
+            q = cls.singularities[0].location
+            assert math.hypot(q.x + 1.0, q.y) <= 1e-12
+            fxx, _, fyy, hnorm_sq = self.hessian(config.mirrored(), q)
+            assert abs(fxx + fyy) <= 1e-12 * math.sqrt(hnorm_sq)
+
+
+class TestSimilarityInvariance:
+    """The unordered {branch, mirror} tag pair of a segment pair and its
+    number of singular points do not change when the pair is rotated,
+    scaled and translated. The similarity is computed here, not with the
+    package's own transform."""
+
+    @staticmethod
+    def signature(s1: Segment, s2: Segment):
+        curve = build_edge(canonicalize(s1, s2))
+        classes = [classify_edge(curve), classify_edge(curve.mirrored())]
+        return sorted(c.tag.value for c in classes), sum(len(c.singularities) for c in classes)
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rotation=st.floats(-math.pi, math.pi),
+        scale=st.floats(0.5, 2.0),
+        tx=st.floats(-2.0, 2.0),
+        ty=st.floats(-2.0, 2.0),
+    )
+    def test_tags_and_singular_count(self, family, seed, rotation, scale, tx, ty):
+        config = FAMILIES[family](np.random.default_rng(seed))
+        pair = [config.canonical_s1(), config.canonical_s2()]
+        c, s = scale * math.cos(rotation), scale * math.sin(rotation)
+        moved = [
+            Segment.of(*((c * p.x - s * p.y + tx, s * p.x + c * p.y + ty) for p in seg.endpoints))
+            for seg in pair
+        ]
+        assert self.signature(*moved) == self.signature(*pair)
 
 
 def congruent_parallel_conic(a: float, b: float) -> BivariatePoly:

@@ -393,6 +393,17 @@ class TestDiagramCommand:
         path.write_text(json.dumps({"segments": [[[0, 0], [1, 0]]]}))
         assert main(["diagram", str(path), "--svg", str(tmp_path / "x.svg")]) == EXIT_BAD_CONFIG
 
+    def test_canonical_block_rejected(self, tmp_path, capsys):
+        path = tmp_path / "canon.json"
+        path.write_text(json.dumps({
+            "segments": [[[-2, 0], [0, 0]], [[1, 1], [2, 2]]],
+            "canonical": {"a": 2.0, "b": 1.0, "l": 1.0, "sin_alpha": 0.0, "cos_alpha": 1.0},
+        }))
+        assert main(["diagram", str(path), "--svg", str(tmp_path / "x.svg")]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "x.svg").exists()
+
     def test_duplicate_sites_exit_code(self, tmp_path, capsys):
         path = tmp_path / "twice.json"
         path.write_text(json.dumps(
