@@ -63,7 +63,8 @@ class DegenerateJet(ValueError):
 
 
 class NotFromEdge(ValueError):
-    """A quadratic that does not have the edge-conic coefficient pattern."""
+    """A polynomial no segment pair produces: a quadratic without the
+    edge-conic coefficient pattern, or a cubic whose Laplacian is constant."""
 
 
 class SharedComponent(ValueError):
@@ -571,13 +572,17 @@ def detect_geometric_degeneracy(s1: Segment, s2: Segment) -> list[DegeneracyPred
     each within PREDICATE_TOL.
 
     All applicable predicates are reported; classification consumes the
-    polynomial, not this list.
+    polynomial, not this list. They are evaluated on the pair scaled by 2^-k,
+    which brings a diameter of 2 or more into [1, 2). That scaling is exact,
+    so each comparison is the one at the pair's own scale, and no square or
+    product of coordinates overflows; the witnesses are scaled back by 2^k.
     """
     pts = [*s1.endpoints, *s2.endpoints]
-    unit = max(
-        1.0,
-        max(math.hypot(p.x - q.x, p.y - q.y) for p in pts for q in pts),
-    )
+    diameter = max(math.hypot(p.x - q.x, p.y - q.y) for p in pts for q in pts)
+    k = max(0, math.frexp(diameter)[1] - 1)
+    pts = [Point(math.ldexp(p.x, -k), math.ldexp(p.y, -k)) for p in pts]
+    s1, s2 = Segment(*pts[:2]), Segment(*pts[2:])
+    unit = max(1.0, math.ldexp(diameter, -k))
     dist_tol = PREDICATE_TOL * unit
     out: list[DegeneracyPredicate] = []
 
@@ -687,4 +692,7 @@ def detect_geometric_degeneracy(s1: Segment, s2: Segment) -> list[DegeneracyPred
     if same_fwd or same_rev:
         out.append(DegeneracyPredicate(PredicateTag.COLLOCATED))
 
-    return out
+    return [
+        DegeneracyPredicate(p.tag, {key: math.ldexp(v, k) for key, v in p.witness.items()})
+        for p in out
+    ]

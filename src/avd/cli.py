@@ -339,6 +339,8 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     try:
         results = run_all(seed=args.seed, only=args.only)
     except KeyError as exc:

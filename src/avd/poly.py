@@ -110,7 +110,9 @@ def jet(f: BivariatePoly) -> np.ndarray:
 
 def gradient(f: BivariatePoly, p: Point) -> tuple[float, float]:
     """(df/dx, df/dy) at p, from exact coefficient-wise differentiation."""
-    gx, gy = npoly.polyval2d(p.x, p.y, jet(f)[..., 1:3])
+    c = f.coeffs
+    table = np.stack([derivative(c, 0), derivative(c, 1)], axis=-1)
+    gx, gy = npoly.polyval2d(p.x, p.y, table)
     return float(gx), float(gy)
 
 

@@ -20,7 +20,6 @@ from .classify import (
     Line,
     SingularityKind,
     classify_edge,
-    classify_singularity,
     factor_circle_line,
     find_singularities,
 )
@@ -172,30 +171,6 @@ def run_node(seed: int) -> ScenarioResult:
     )
 
 
-def run_taxonomy(seed: int) -> ScenarioResult:
-    rng = np.random.default_rng(seed)
-    cases = [(1.0, SingularityKind.NODE), (-1.0, SingularityKind.ISOLATED_POINT),
-             (0.0, SingularityKind.CUSP)]
-    for _ in range(20):
-        a = float(rng.uniform(0.05, 3.0)) * (1 if rng.random() < 0.5 else -1)
-        cases.append((a, SingularityKind.NODE if a > 0 else SingularityKind.ISOLATED_POINT))
-    ok = True
-    observed = []
-    for a, want in cases:
-        f = BivariatePoly.from_terms({(0, 2): 1.0, (3, 0): -1.0, (2, 0): -a})
-        kind = classify_singularity(f, Point(0.0, 0.0))
-        if kind is not want:
-            ok = False
-            observed.append(f"a={a}: {kind.value}")
-    return ScenarioResult(
-        "taxonomy",
-        "node / isolated point / cusp by sign of the family parameter",
-        "all matched" if ok else "; ".join(observed),
-        0.0,
-        ok,
-    )
-
-
 def _closed_form_scenario(
     name: str,
     seed: int,
@@ -306,73 +281,58 @@ def run_orthocross(seed: int) -> ScenarioResult:
     )
 
 
-def run_hyperbola(seed: int) -> ScenarioResult:
+def run_degree2(seed: int) -> ScenarioResult:
+    """Equal-length parallel pairs with alpha = pi exactly. The edge is the
+    conic b x^2 - 2a xy - b y^2 + (a^2 + b^2) y - b, whose determinant
+    b (a^2 + b^2) (4 - a^2 - b^2) / 4 vanishes, giving two orthogonal lines,
+    for b = 0 (y = 0 and x = a/2) and on the radius-2 midpoint circle; every
+    other midpoint gives the rectangular hyperbola."""
     rng = np.random.default_rng(seed)
-    # exact conic for midpoint (1, 1)
-    curve = build_edge(CanonicalConfig.from_angle(1.0, 1.0, 1.0, math.pi))
-    want = BivariatePoly.from_terms(
-        {(0, 2): -1.0, (1, 1): -2.0, (2, 0): 1.0, (0, 1): 2.0, (0, 0): -1.0}
-    )
-    worst = float(np.abs(curve.poly.coeffs - want.coeffs).max())
-    ok = worst <= 1e-12
-    tags = []
+    draws = [(float(rng.uniform(0.2, 3.0)) * (1 if rng.random() < 0.5 else -1), 0.0)
+             for _ in range(25)]
+    for _ in range(25):
+        phi = float(rng.uniform(0.05, 0.5 * math.pi - 0.05))
+        draws.append((2.0 * math.cos(phi), 2.0 * math.sin(phi)))
     for _ in range(50):
         a = float(rng.uniform(-3.0, 3.0))
-        b = float(rng.uniform(0.05, 3.0)) * (1 if rng.random() < 0.5 else -1)
-        cls = classify_edge(build_edge(CanonicalConfig.from_angle(a, b, 1.0, math.pi)))
-        factorable = abs(a * a + b * b - 4.0) <= 1e-8
+        draws.append((a, float(rng.uniform(0.05, 3.0)) * (1 if rng.random() < 0.5 else -1)))
+    table_gap = line_gap = 0.0
+    misses = []
+    for a, b in draws:
+        curve = build_edge(CanonicalConfig(a, b, 1.0, 0.0, -1.0))
+        want = BivariatePoly.from_terms(
+            {(2, 0): b, (1, 1): -2.0 * a, (0, 2): -b, (0, 1): a * a + b * b, (0, 0): -b}
+        ).coeffs
+        gap = np.abs(curve.poly.coeffs - want) / np.maximum(1.0, np.abs(want))
+        table_gap = max(table_gap, float(gap.max()))
+        cls = classify_edge(curve)
+        factorable = b == 0.0 or abs(a * a + b * b - 4.0) <= 1e-8
         want_tag = (
             EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES
             if factorable
             else EdgeClassTag.QUAD_IRREDUCIBLE_HYPERBOLA
         )
         if cls.tag is not want_tag:
-            ok = False
-            tags.append(f"(a={a:.3f}, b={b:.3f}) -> {cls.tag.value}")
-        if cls.lines is not None:
-            d1 = cls.lines[0].direction()
-            d2 = cls.lines[1].direction()
-            if abs(d1[0] * d2[0] + d1[1] * d2[1]) > 1e-9:
-                ok = False
-                tags.append("non-orthogonal line pair")
-    return ScenarioResult(
-        "hyperbola",
-        "equal-length parallel pairs give the rectangular hyperbola (or lines)",
-        "all matched" if not tags else "; ".join(tags[:3]),
-        worst,
-        ok,
-    )
-
-
-def run_twolines(seed: int) -> ScenarioResult:
-    rng = np.random.default_rng(seed)
-    ok = True
-    worst = 0.0
-    for _ in range(25):
-        a = float(rng.uniform(0.2, 3.0)) * (1 if rng.random() < 0.5 else -1)
-        cls = classify_edge(build_edge(CanonicalConfig.from_angle(a, 0.0, 1.0, math.pi)))
-        if cls.tag is not EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES or cls.lines is None:
-            ok = False
+            misses.append(f"(a={a:.3f}, b={b:.3f}) -> {cls.tag.value}")
+        if cls.lines is None:
             continue
-        worst = max(worst, line_distance(cls.lines[0], Line.normalized(1.0, 0.0, 0.0)))
-        worst = max(
-            worst, line_distance(cls.lines[1], Line.normalized(0.0, 1.0, -0.5 * a))
-        )
         d1, d2 = cls.lines[0].direction(), cls.lines[1].direction()
         if abs(d1[0] * d2[0] + d1[1] * d2[1]) > 1e-9:
-            ok = False
-    for _ in range(25):
-        phi = float(rng.uniform(0.05, 0.5 * math.pi - 0.05))
-        a, b = 2.0 * math.cos(phi), 2.0 * math.sin(phi)
-        cls = classify_edge(build_edge(CanonicalConfig.from_angle(a, b, 1.0, math.pi)))
-        if cls.tag is not EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES:
-            ok = False
-    ok = ok and worst <= 1e-9
+            misses.append(f"(a={a:.3f}, b={b:.3f}) -> non-orthogonal line pair")
+        if b == 0.0:
+            line_gap = max(
+                line_gap,
+                line_distance(cls.lines[0], Line.normalized(1.0, 0.0, 0.0)),
+                line_distance(cls.lines[1], Line.normalized(0.0, 1.0, -0.5 * a)),
+            )
+    ok = not misses and table_gap <= 1e-12 and line_gap <= 1e-9
     return ScenarioResult(
-        "twolines",
-        "axis-aligned pair for b=0; factorable pair on the radius-2 midpoint circle",
-        f"max line residual {worst:.2e}",
-        worst,
+        "degree2",
+        "conic table (<= 1e-12); orthogonal lines for b = 0 (y = 0, x = a/2, <= 1e-9) "
+        "and a^2 + b^2 = 4, else the rectangular hyperbola",
+        f"table {table_gap:.2e}, lines {line_gap:.2e}"
+        + ("" if not misses else "; " + "; ".join(misses[:3])),
+        max(table_gap, line_gap),
         ok,
     )
 
@@ -436,14 +396,12 @@ def run_containment(seed: int) -> ScenarioResult:
 
 
 SCENARIOS: dict[str, Callable[[int], ScenarioResult]] = {
-    "taxonomy": run_taxonomy,
     "node": run_node,
     "concyclic": run_concyclic,
     "orthocross": run_orthocross,
     "collinear": run_collinear,
     "shared-endpoint": run_shared_endpoint,
-    "hyperbola": run_hyperbola,
-    "twolines": run_twolines,
+    "degree2": run_degree2,
     "degree1": run_degree1,
     "containment": run_containment,
 }

@@ -26,7 +26,7 @@ NODE_PAIR = [
 @pytest.fixture
 def node_config() -> CanonicalConfig:
     """Configuration whose edge cubic is irreducible with a node at (-1, 2)."""
-    return CanonicalConfig(2.0, 4.0 / 3.0, 5.0 / 3.0, -4.0 / 5.0, 3.0 / 5.0)
+    return NODE_CONFIG
 
 
 @pytest.fixture

@@ -15,11 +15,9 @@ import pytest
 
 from avd import (
     CanonicalConfig,
-    EdgeClassTag,
     GridSpec,
     Point,
     build_edge,
-    classify_edge,
     extract_bisector,
     gradient,
     leading_coefficients,
@@ -31,10 +29,10 @@ from avd.verify import (
     run_collinear,
     run_concyclic,
     run_degree1,
+    run_degree2,
     run_node,
     run_orthocross,
     run_shared_endpoint,
-    run_taxonomy,
 )
 
 SEED = 987654321
@@ -53,12 +51,6 @@ def test_node_regression():
     _report("node-regression", r.ok,
             f"coefficient residual {r.residual:.2e}, {r.observed}",
             1.0, time.perf_counter() - t0)
-
-
-def test_singularity_taxonomy():
-    t0 = time.perf_counter()
-    r = run_taxonomy(SEED)
-    _report("singularity-taxonomy", r.ok, r.observed, 1.0, time.perf_counter() - t0)
 
 
 def test_example_closed_forms():
@@ -81,48 +73,8 @@ def test_example_closed_forms():
 
 def test_degree_two_dichotomy():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(SEED)
-    ok = True
-    # built conic matches the closed coefficient table
-    for _ in range(20):
-        a = float(rng.uniform(-3, 3))
-        b = float(rng.uniform(-3, 3))
-        poly = build_edge(CanonicalConfig(a, b, 1.0, 0.0, -1.0)).poly
-        want = {(2, 0): b, (1, 1): -2 * a, (0, 2): -b,
-                (0, 1): a * a + b * b, (0, 0): -b}
-        for (i, j), v in want.items():
-            if abs(poly.coefficient(i, j) - v) > 1e-12 * max(1.0, abs(v)):
-                ok = False
-    # b = 0: two orthogonal lines
-    for _ in range(10):
-        a = float(rng.uniform(0.2, 3.0)) * (1 if rng.random() < 0.5 else -1)
-        cls = classify_edge(build_edge(CanonicalConfig(a, 0.0, 1.0, 0.0, -1.0)))
-        if cls.tag is not EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES:
-            ok = False
-            continue
-        d1 = cls.lines[0].direction()
-        d2 = cls.lines[1].direction()
-        if abs(d1[0] * d2[0] + d1[1] * d2[1]) > 1e-9:
-            ok = False
-    # 50 random b != 0: hyperbola or line pair exactly per the conic determinant
-    for _ in range(50):
-        a = float(rng.uniform(-3, 3))
-        b = float(rng.uniform(0.05, 3.0)) * (1 if rng.random() < 0.5 else -1)
-        cls = classify_edge(build_edge(CanonicalConfig(a, b, 1.0, 0.0, -1.0)))
-        factorable = abs(a * a + b * b - 4.0) <= 1e-8
-        want = (
-            EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES
-            if factorable
-            else EdgeClassTag.QUAD_IRREDUCIBLE_HYPERBOLA
-        )
-        if cls.tag is not want:
-            ok = False
-        if cls.lines is not None:
-            d1, d2 = cls.lines[0].direction(), cls.lines[1].direction()
-            if abs(d1[0] * d2[0] + d1[1] * d2[1]) > 1e-9:
-                ok = False
-    _report("degree-2-dichotomy", ok, "conic table exact, classes per determinant",
-            2.0, time.perf_counter() - t0)
+    r = run_degree2(SEED)
+    _report("degree-2-dichotomy", r.ok, r.observed, 2.0, time.perf_counter() - t0)
 
 
 def test_degree_one_impossibility():

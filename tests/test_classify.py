@@ -195,6 +195,13 @@ class TestClassifySingularity:
         assert classify_singularity(node, origin) is SingularityKind.NODE
         assert classify_singularity(isolated, origin) is SingularityKind.ISOLATED_POINT
         assert classify_singularity(cusp, origin) is SingularityKind.CUSP
+        # y^2 = x^3 + a x^2 has a node for a > 0 and an isolated point for a < 0
+        rng = np.random.default_rng(20240811)
+        for _ in range(20):
+            a = float(rng.uniform(0.05, 3.0)) * (1 if rng.random() < 0.5 else -1)
+            f = BivariatePoly.from_terms({(0, 2): 1.0, (3, 0): -1.0, (2, 0): -a})
+            want = SingularityKind.NODE if a > 0 else SingularityKind.ISOLATED_POINT
+            assert classify_singularity(f, origin) is want, a
 
     def test_degenerate_jet(self):
         triple = BivariatePoly.from_terms({(3, 0): 1.0})
@@ -513,3 +520,21 @@ class TestDetectGeometricDegeneracy:
         s1 = Segment.of((-1.0, 0.0), (1.0, 0.0))
         s2 = Segment.of((0.3, 1.1), (2.2, 2.3))
         assert detect_geometric_degeneracy(s1, s2) == []
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_scaling_by_a_power_of_two(self, family):
+        # squares and products of coordinates overflow from about 1e155 on,
+        # unless the predicates run on a rescaled pair
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            config = FAMILIES[family](rng)
+            pair = (config.world_s1(), config.world_s2())
+            want = detect_geometric_degeneracy(*pair)
+            for k in (0, 100, 500, 1000):
+                got = detect_geometric_degeneracy(*(
+                    Segment.of(*((math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in s.endpoints))
+                    for s in pair
+                ))
+                assert [p.tag for p in got] == [p.tag for p in want]
+                for p, q in zip(got, want):
+                    assert p.witness == {key: math.ldexp(v, k) for key, v in q.witness.items()}

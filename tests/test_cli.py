@@ -5,7 +5,17 @@ import re
 import numpy as np
 import pytest
 
-from avd import CanonicalConfig, GridSpec, Point, SimilarityTransform, build_edge
+from avd import (
+    CanonicalConfig,
+    EdgeClass,
+    EdgeClassTag,
+    GridSpec,
+    Point,
+    SimilarityTransform,
+    build_edge,
+    classify_edge,
+    verify,
+)
 from avd.classify import DegenerateJet, DegreeOneAnomaly, NotFromEdge, SharedComponent
 from avd.cli import (
     EXIT_ANOMALY,
@@ -422,6 +432,34 @@ class TestVerifyCommand:
     def test_unknown_scenario_is_config_error(self, capsys):
         assert main(["verify", "--only", "nonsense"]) == EXIT_BAD_CONFIG
 
+    def test_negative_seed_is_config_error(self, capsys):
+        assert main(["verify", "--only", "node", "--seed", "-1"]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda a, b: b == 0.0,
+            lambda a, b: b != 0.0 and abs(a * a + b * b - 4.0) <= 1e-8,
+            lambda a, b: b != 0.0 and abs(a * a + b * b - 4.0) > 1e-8,
+        ],
+        ids=["b=0", "radius-2", "b!=0"],
+    )
+    def test_degree2_row_fails_on_a_mislabelled_family(self, family, monkeypatch, capsys):
+        def mislabel(curve):
+            cls = classify_edge(curve)
+            if not family(curve.config.a, curve.config.b):
+                return cls
+            if cls.tag is EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES:
+                return EdgeClass(EdgeClassTag.QUAD_IRREDUCIBLE_HYPERBOLA)
+            return EdgeClass(EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES)
+
+        monkeypatch.setattr(verify, "classify_edge", mislabel)
+        assert main(["verify", "--only", "degree2"]) == 1
+        assert capsys.readouterr().out.startswith("degree2  FAIL")
+
     def test_degree_search_reaches_degree_two(self, capsys):
         assert main(["verify", "--only", "degree1"]) == EXIT_OK
         assert "degrees seen: [2, 3]" in capsys.readouterr().out
@@ -429,8 +467,13 @@ class TestVerifyCommand:
     def test_full_run_passes_every_scenario(self, capsys):
         assert main(["verify"]) == EXIT_OK
         rows = capsys.readouterr().out.splitlines()
-        assert sum("  PASS  " in row for row in rows) == 10
-        assert rows[-1] == "10/10 scenarios passed"
+        assert [row.split()[:2] for row in rows[:-1]] == [
+            [name, "PASS"] for name in (
+                "node", "concyclic", "orthocross", "collinear", "shared-endpoint",
+                "degree2", "degree1", "containment",
+            )
+        ]
+        assert rows[-1] == "8/8 scenarios passed"
 
 
 class TestReportRoundTrip:
