@@ -282,7 +282,7 @@ def run_orthocross(seed: int) -> ScenarioResult:
 
 
 def run_degree2(seed: int) -> ScenarioResult:
-    """Equal-length parallel pairs with alpha = pi exactly. The edge is the
+    """Equal-length parallel pairs with alpha = pi. The edge is the
     conic b x^2 - 2a xy - b y^2 + (a^2 + b^2) y - b, whose determinant
     b (a^2 + b^2) (4 - a^2 - b^2) / 4 vanishes, giving two orthogonal lines,
     for b = 0 (y = 0 and x = a/2) and on the radius-2 midpoint circle; every
@@ -298,8 +298,13 @@ def run_degree2(seed: int) -> ScenarioResult:
         draws.append((a, float(rng.uniform(0.05, 3.0)) * (1 if rng.random() < 0.5 else -1)))
     table_gap = line_gap = 0.0
     misses = []
-    for a, b in draws:
-        curve = build_edge(CanonicalConfig(a, b, 1.0, 0.0, -1.0))
+    # Each draw at exactly sin(alpha) = 0 and at from_angle(pi), whose
+    # sin(alpha) ~ 1.2e-16 leaves rounding-level cubic terms to drop.
+    configs = [cfg for a, b in draws for cfg in (
+        CanonicalConfig(a, b, 1.0, 0.0, -1.0), CanonicalConfig.from_angle(a, b, 1.0, math.pi))]
+    for cfg in configs:
+        a, b = cfg.a, cfg.b
+        curve = build_edge(cfg)
         want = BivariatePoly.from_terms(
             {(2, 0): b, (1, 1): -2.0 * a, (0, 2): -b, (0, 1): a * a + b * b, (0, 0): -b}
         ).coeffs
@@ -312,13 +317,14 @@ def run_degree2(seed: int) -> ScenarioResult:
             if factorable
             else EdgeClassTag.QUAD_IRREDUCIBLE_HYPERBOLA
         )
+        at = f"(a={a:.3f}, b={b:.3f}, sin alpha={cfg.sin_alpha:.1e})"
         if cls.tag is not want_tag:
-            misses.append(f"(a={a:.3f}, b={b:.3f}) -> {cls.tag.value}")
+            misses.append(f"{at} -> {cls.tag.value}")
         if cls.lines is None:
             continue
         d1, d2 = cls.lines[0].direction(), cls.lines[1].direction()
         if abs(d1[0] * d2[0] + d1[1] * d2[1]) > 1e-9:
-            misses.append(f"(a={a:.3f}, b={b:.3f}) -> non-orthogonal line pair")
+            misses.append(f"{at} -> non-orthogonal line pair")
         if b == 0.0:
             line_gap = max(
                 line_gap,

@@ -447,10 +447,14 @@ class TestVerifyCommand:
         ],
         ids=["b=0", "radius-2", "b!=0"],
     )
-    def test_degree2_row_fails_on_a_mislabelled_family(self, family, monkeypatch, capsys):
+    @pytest.mark.parametrize("exact_alpha", [True, False], ids=["sin=0", "from_angle"])
+    def test_degree2_row_fails_on_a_mislabelled_family(
+        self, family, exact_alpha, monkeypatch, capsys
+    ):
         def mislabel(curve):
             cls = classify_edge(curve)
-            if not family(curve.config.a, curve.config.b):
+            cfg = curve.config
+            if not family(cfg.a, cfg.b) or (cfg.sin_alpha == 0.0) != exact_alpha:
                 return cls
             if cls.tag is EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES:
                 return EdgeClass(EdgeClassTag.QUAD_IRREDUCIBLE_HYPERBOLA)
