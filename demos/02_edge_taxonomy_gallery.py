@@ -23,12 +23,13 @@ from avd import (
 )
 from avd.oracle import EmptyResult
 from avd.svg import render_edge_scene
+from avd.verify import NODE_CONFIG
 
 OUT = "demo_out"
 
 GALLERY = [
     ("regular-cubic", CanonicalConfig.from_angle(1.3, 0.7, 0.8, 0.5)),
-    ("nodal-cubic", CanonicalConfig(2.0, 4 / 3, 5 / 3, -0.8, 0.6)),
+    ("nodal-cubic", NODE_CONFIG),
     ("chords-of-one-circle", CanonicalConfig.from_angle(1.0, 1.0, 1.0, -math.pi / 2)),
     ("collinear-unequal", CanonicalConfig.from_angle(3.0, 0.0, 0.5, math.pi)),
     ("shared-endpoint", CanonicalConfig.from_angle(-1.0 - 2.0 * 0.0, -2.0, 2.0, math.pi / 2)),
@@ -65,17 +66,13 @@ def main() -> None:
             print(f"{'':22s}    {sp.kind.value} at "
                   f"({sp.location.x:+.4f}, {sp.location.y:+.4f})")
 
-        try:
-            oracle = extract_bisector(*pair, grid)
-        except EmptyResult:
-            oracle = None
         svg = render_edge_scene(
             grid.mapped(config.to_world),
             config.to_world,
             pair,
             curve_polylines,
             implicit_polylines(normalize(curve.mirror_poly), grid).polylines,
-            oracle,
+            extract_bisector(*pair, grid),
             cls.singularities,
         )
         path = os.path.join(OUT, f"{name}.svg")

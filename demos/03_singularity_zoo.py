@@ -11,7 +11,6 @@ from numpy.polynomial import polynomial as npoly
 
 from avd import (
     BivariatePoly,
-    CanonicalConfig,
     Point,
     build_edge,
     classify_singularity,
@@ -19,6 +18,7 @@ from avd import (
     gradient,
     jet,
 )
+from avd.verify import NODE_CONFIG
 
 
 def family(a: float) -> BivariatePoly:
@@ -34,8 +34,7 @@ for a in (1.0, -1.0, 0.0, 0.3, -2.5):
     print(f"  a = {a:+.1f}: Hessian discriminant {disc:+.2f} -> {kind.value}")
 
 print("\nFull edge-curve example (direction cosines 3/5, -4/5):")
-config = CanonicalConfig(2.0, 4.0 / 3.0, 5.0 / 3.0, -4.0 / 5.0, 3.0 / 5.0)
-curve = build_edge(config)
+curve = build_edge(NODE_CONFIG)
 for sp in find_singularities(curve.poly):
     gx, gy = gradient(curve.poly, sp.location)
     print(f"  {sp.kind.value} at ({sp.location.x:+.12f}, {sp.location.y:+.12f}), "

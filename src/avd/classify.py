@@ -573,16 +573,16 @@ def detect_geometric_degeneracy(s1: Segment, s2: Segment) -> list[DegeneracyPred
 
     All applicable predicates are reported; classification consumes the
     polynomial, not this list. They are evaluated on the pair scaled by 2^-k,
-    which brings a diameter of 2 or more into [1, 2). That scaling is exact,
-    so each comparison is the one at the pair's own scale, and no square or
-    product of coordinates overflows; the witnesses are scaled back by 2^k.
+    which brings its diameter into [1, 2). That scaling is exact, so each
+    comparison is the one at the pair's own scale, and no square or product
+    of coordinates overflows; the witnesses are scaled back by 2^k.
     """
     pts = [*s1.endpoints, *s2.endpoints]
     diameter = max(math.hypot(p.x - q.x, p.y - q.y) for p in pts for q in pts)
-    k = max(0, math.frexp(diameter)[1] - 1)
+    k = math.frexp(diameter)[1] - 1
     pts = [Point(math.ldexp(p.x, -k), math.ldexp(p.y, -k)) for p in pts]
     s1, s2 = Segment(*pts[:2]), Segment(*pts[2:])
-    unit = max(1.0, math.ldexp(diameter, -k))
+    unit = math.ldexp(diameter, -k)
     dist_tol = PREDICATE_TOL * unit
     out: list[DegeneracyPredicate] = []
 

@@ -16,11 +16,14 @@ malformed.
 Frames: class payloads, "validation" and the report's curve_polylines are
 in the canonical frame of the pair; predicate witnesses and the SVG are in
 the world frame; a config "grid" is a world window (validation runs over
-the bounding box of its preimage). Exit codes: 2 malformed config, 3
-identical segments (or two coincident diagram sites), 4 internal anomaly
-(a degree-1 edge, a cubic whose partials share a component, a singular
-point with a vanishing Hessian, or a degree-2 edge that misses the
-edge-conic pattern at the scene's "factor" tolerance).
+the bounding box of its preimage). Exit codes: 2 malformed config, or a
+pair out of range for doubles (a canonical s2 whose endpoints round
+together, or an edge table that overflows); 3 identical segments, to 1e-12
+of the pair's diameter (or a canonical block whose s2 is s1, or two
+coincident diagram sites); 4 internal anomaly (a degree-1 edge, a cubic
+whose partials share a component, a singular point with a vanishing
+Hessian, or a degree-2 edge that misses the edge-conic pattern at the
+scene's "factor" tolerance).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .classify import (
     classify_edge,
     detect_geometric_degeneracy,
 )
-from .edge import EdgeCurve, build_edge
+from .edge import EdgeCurve, ZeroPolynomial, build_edge
 from .geometry import CanonicalConfig, IdenticalSegments, Segment, canonicalize
 from .oracle import (
     EmptyResult,
@@ -265,7 +268,12 @@ def cmd_edge(args) -> int:
             raise ConfigError("edge command needs exactly 2 segments")
         config = canonicalize(scene.segments[0], scene.segments[1])
 
-    curve = build_edge(config)
+    try:
+        curve = build_edge(config)
+    except ZeroPolynomial as exc:  # a canonical block whose s2 is s1
+        raise IdenticalSegments(str(exc)) from None
+    except ValueError as exc:  # the coefficient table overflowed
+        raise ConfigError(f"edge is out of range: {exc}") from None
     tol = scene.tolerances.get("factor", FACTOR_TOL)
     angle_tol = scene.tolerances.get("angle", ANGLE_TOL)
     containment_tol = scene.tolerances.get("containment", CONTAINMENT_TOL)
@@ -287,17 +295,13 @@ def cmd_edge(args) -> int:
 
     if args.svg:
         s1, s2 = config.canonical_s1(), config.canonical_s2()
-        try:
-            oracle = extract_bisector(s1, s2, grid)
-        except EmptyResult:
-            oracle = None
         svg = render_edge_scene(
             view,
             config.to_world,
             [s1, s2],
             report.curve_polylines,
             implicit_polylines(normalize(curve.mirror_poly), grid).polylines,
-            oracle,
+            extract_bisector(s1, s2, grid),
             report.branch.singularities,
         )
         with open(args.svg, "w", encoding="utf-8") as fh:

@@ -142,6 +142,7 @@ class CanonicalConfig:
         norm = self.sin_alpha**2 + self.cos_alpha**2
         if abs(norm - 1.0) > UNIT_CIRCLE_TOL:
             raise ValueError("sin_alpha, cos_alpha must lie on the unit circle")
+        self.canonical_s2()  # its endpoints must not round together
 
     @property
     def alpha(self) -> float:
@@ -206,12 +207,11 @@ def canonicalize(s1: Segment, s2: Segment) -> CanonicalConfig:
     CanonicalConfig.mirrored().
 
     Raises:
-        IdenticalSegments: s1 and s2 coincide as point sets.
+        IdenticalSegments: s1 and s2 coincide as point sets, to
+            COINCIDENCE_TOL times the pair's diameter.
     """
-    scale_hint = max(
-        abs(c) for p in (*s1.endpoints, *s2.endpoints) for c in (p.x, p.y)
-    )
-    eq_tol = COINCIDENCE_TOL * max(1.0, scale_hint)
+    pts = (*s1.endpoints, *s2.endpoints)
+    eq_tol = COINCIDENCE_TOL * max(math.hypot(p.x - q.x, p.y - q.y) for p in pts for q in pts)
     same_fwd = _points_match(s1.e0, s2.e0, eq_tol) and _points_match(s1.e1, s2.e1, eq_tol)
     same_rev = _points_match(s1.e0, s2.e1, eq_tol) and _points_match(s1.e1, s2.e0, eq_tol)
     if same_fwd or same_rev:

@@ -45,7 +45,7 @@ BOUNDARY_LABEL = -1
 
 
 class EmptyResult(RuntimeError):
-    """No sign change of the field on the grid; the locus misses the window."""
+    """Neither the oracle locus nor the algebraic curve meets the window."""
 
 
 @dataclass(frozen=True)
@@ -183,18 +183,15 @@ def _refine_crossings(
 
 
 def _march(
-    values: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    skip_cells: np.ndarray | None,
-    vertex_tol: float | None,
-) -> tuple[np.ndarray, np.ndarray, int]:
+    grid: GridSpec,
+    skip_cells: np.ndarray | None = None,
+    vertex_tol: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Shared marching-squares core.
 
-    values is fn on the grid, shape (ny, nx). Fields broadcast: the callers
-    build values as fn(xs[None, :], ys[:, None]), a row of xs against a
-    column of ys, and the refinement here calls fn on 1-D arrays of points.
+    fn is evaluated once on the grid axes, as fn(xs[None, :], ys[:, None]),
+    and on 1-D arrays of points by the refinement, so fields must broadcast.
 
     Every cell edge has an integer id: horizontal edge (ix, iy), from node
     (ix, iy) to (ix+1, iy), is ix*ny + iy; vertical edge (ix, iy), from
@@ -206,9 +203,10 @@ def _march(
     their direction and their order, and with them the SVG bytes.
 
     Returns (kept vertices as an (n, 2) array in id order, per-cell segments
-    as an (m, 2) array of vertex indices, number of crossing edges seen
-    before tolerance filtering).
+    as an (m, 2) array of vertex indices).
     """
+    xs, ys = grid.xs(), grid.ys()
+    values = fn(xs[None, :], ys[:, None])
     ny, nx = values.shape
     valid = np.isfinite(values)
     sign = np.where(valid, values, 1.0) >= 0
@@ -218,9 +216,8 @@ def _march(
     # nonzero over the transposes runs ix-major, i.e. in id order
     hx, hy = np.nonzero(h_cross.T)
     vx, vy = np.nonzero(v_cross.T)
-    total_crossings = len(hx) + len(vx)
-    if total_crossings == 0:
-        return np.zeros((0, 2)), np.zeros((0, 2), dtype=np.intp), 0
+    if len(hx) + len(vx) == 0:
+        return np.zeros((0, 2)), np.zeros((0, 2), dtype=np.intp)
 
     n_h = (nx - 1) * ny
     ids = np.concatenate([hx * ny + hy, n_h + vx * (ny - 1) + vy])
@@ -265,7 +262,7 @@ def _march(
     # each saddle's second segment directly after its first
     cell_of = np.concatenate([rows, saddle])
     segments = np.concatenate([pairs, second])[np.argsort(cell_of, kind="stable")]
-    return points, segments, total_crossings
+    return points, segments
 
 
 def _chain(points: np.ndarray, segments: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -307,17 +304,13 @@ def _endpoint_cells(grid: GridSpec, segments: Sequence[Segment]) -> np.ndarray:
     """Boolean (ny-1, nx-1) mask of cells whose closed box holds an endpoint."""
     xs, ys = grid.xs(), grid.ys()
     mask = np.zeros((grid.ny - 1, grid.nx - 1), dtype=bool)
-    for seg in segments:
-        for p in seg.endpoints:
-            if not (xs[0] <= p.x <= xs[-1] and ys[0] <= p.y <= ys[-1]):
-                continue
-            ix0 = max(0, int(np.searchsorted(xs, p.x, side="right")) - 1)
-            iy0 = max(0, int(np.searchsorted(ys, p.y, side="right")) - 1)
-            for ix in (ix0 - 1, ix0, ix0 + 1):
-                for iy in (iy0 - 1, iy0, iy0 + 1):
-                    if 0 <= ix < grid.nx - 1 and 0 <= iy < grid.ny - 1:
-                        if xs[ix] <= p.x <= xs[ix + 1] and ys[iy] <= p.y <= ys[iy + 1]:
-                            mask[iy, ix] = True
+    def cells(axis: np.ndarray, c: float) -> slice:
+        # cells i with axis[i] <= c <= axis[i + 1]; the slice clips to the grid
+        lo = int(np.searchsorted(axis, c, "left")) - 1
+        return slice(max(lo, 0), int(np.searchsorted(axis, c, "right")))
+
+    for p in (e for seg in segments for e in seg.endpoints):
+        mask[cells(ys, p.y), cells(xs, p.x)] = True
     return mask
 
 
@@ -328,31 +321,18 @@ def extract_bisector(s1: Segment, s2: Segment, grid: GridSpec) -> PolyLineSet:
     is sharpened by bisection and kept only where the gap there is at most
     GAP_VERTEX_TOL, which drops the sign changes across the gap's jumps.
     Cells containing a segment endpoint are skipped (the gap is
-    discontinuous there).
-
-    Raises:
-        EmptyResult: the gap never changes sign on the grid.
+    discontinuous there). The set is empty when the gap never changes sign
+    on the grid or no polyline survives the tolerance.
     """
-    fn = _gap_field(s1, s2)
-    xs, ys = grid.xs(), grid.ys()
-    values = fn(xs[None, :], ys[:, None])
     skip = _endpoint_cells(grid, (s1, s2))
-    points, segments, crossings = _march(values, xs, ys, fn, skip, GAP_VERTEX_TOL)
-    if crossings == 0 or not len(points):
-        raise EmptyResult("angle gap has no sign change on the grid")
-    polylines = _chain(points, segments)
-    if not polylines:
-        raise EmptyResult("no bisector polyline survived refinement")
-    return PolyLineSet(polylines)
+    return PolyLineSet(_chain(*_march(_gap_field(s1, s2), grid, skip, GAP_VERTEX_TOL)))
 
 
 def implicit_polylines(p: BivariatePoly, grid: GridSpec) -> PolyLineSet:
     """Zero set of a polynomial as polylines (marching squares, crossings
-    refined by bisection on the polynomial). Empty set if no sign change."""
-    xs, ys = grid.xs(), grid.ys()
-    values = p(xs[None, :], ys[:, None])
-    points, segments, _ = _march(values, xs, ys, p, None, None)
-    return PolyLineSet(_chain(points, segments))
+    refined by bisection on the polynomial). The set is empty when p never
+    changes sign on the grid."""
+    return PolyLineSet(_chain(*_march(p, grid)))
 
 
 def rasterize_diagram(sites: Sequence[Segment], grid: GridSpec) -> LabeledRaster:
@@ -460,15 +440,11 @@ def validate_curve(
     p_mirr = normalize(curve.mirror_poly)
 
     notes: list[str] = []
-    oracle_vertices = np.zeros((0, 2))
-    try:
-        oracle_vertices = extract_bisector(s1, s2, grid).vertices()
-    except EmptyResult:
+    oracle_vertices = extract_bisector(s1, s2, grid).vertices()
+    if not len(oracle_vertices):
         notes.append("oracle locus missed the window or produced no sign change")
 
-    xs, ys = grid.xs(), grid.ys()
-    values = p_conv(xs[None, :], ys[:, None])
-    samples, segments, _ = _march(values, xs, ys, p_conv, None, None)
+    samples, segments = _march(p_conv, grid)
 
     if len(oracle_vertices) == 0 and len(samples) == 0:
         raise EmptyResult("neither locus intersects the window")

@@ -129,7 +129,7 @@ def render_edge_scene(
     segments: Sequence[Segment],
     curve_polylines: Iterable[np.ndarray],
     mirror_polylines: Iterable[np.ndarray],
-    oracle_polylines: PolyLineSet | None,
+    oracle_polylines: PolyLineSet,
     singular_points: Sequence[SingularPoint],
 ) -> str:
     """Overlay: algebraic curve (stroked, both labeling branches), oracle
@@ -143,10 +143,7 @@ def render_edge_scene(
     parts = _header(m)
     parts += _polyline_group(m, mirror_polylines, MIRROR_COLOR, 1.4)
     parts += _polyline_group(m, curve_polylines, CURVE_COLOR, 2.2)
-    if oracle_polylines is not None:
-        parts += _polyline_group(
-            m, oracle_polylines.polylines, ORACLE_COLOR, 1.6, dashed=True
-        )
+    parts += _polyline_group(m, oracle_polylines.polylines, ORACLE_COLOR, 1.6, dashed=True)
     parts += _segment_group(m, segments)
     for sp in singular_points:
         cx, cy = m(sp.location.x, sp.location.y)

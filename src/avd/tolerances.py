@@ -24,7 +24,7 @@ DEGREE_TOL = 1e-10
 PREDICATE_TOL = 1e-9
 
 # geometry
-#: endpoint coincidence in canonicalize, over max(1, largest |coordinate|)
+#: endpoint coincidence in canonicalize, over the pair's diameter
 COINCIDENCE_TOL = 1e-12
 #: how far sin^2 + cos^2 of a CanonicalConfig may stray from 1
 UNIT_CIRCLE_TOL = 1e-9

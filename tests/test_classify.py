@@ -524,13 +524,14 @@ class TestDetectGeometricDegeneracy:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_scaling_by_a_power_of_two(self, family):
         # squares and products of coordinates overflow from about 1e155 on,
-        # unless the predicates run on a rescaled pair
+        # unless the predicates run on a rescaled pair; a pair much smaller
+        # than 1 is judged at its own scale, not against a unit floor
         rng = np.random.default_rng(7)
         for _ in range(10):
             config = FAMILIES[family](rng)
             pair = (config.world_s1(), config.world_s2())
             want = detect_geometric_degeneracy(*pair)
-            for k in (0, 100, 500, 1000):
+            for k in (0, 100, 500, 1000, -40, -500):
                 got = detect_geometric_degeneracy(*(
                     Segment.of(*((math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in s.endpoints))
                     for s in pair

@@ -261,6 +261,30 @@ class TestEdgeCommand:
         path.write_text(json.dumps({"segments": [[[0, 0], [1, 1]], [[1, 1], [0, 0]]]}))
         assert main(["edge", str(path)]) == EXIT_IDENTICAL
 
+    @pytest.mark.parametrize("scene, code", [
+        # a canonical block whose second segment is the first, either way round
+        ({"canonical": {"a": 0, "b": 0, "l": 1, "sin_alpha": 0, "cos_alpha": 1}},
+         EXIT_IDENTICAL),
+        ({"canonical": {"a": 0, "b": 0, "l": 1, "sin_alpha": 0, "cos_alpha": -1}},
+         EXIT_IDENTICAL),
+        # canonical blocks whose second segment's endpoints round together
+        ({"canonical": {"a": 1e200, "b": 0, "l": 1, "sin_alpha": 0, "cos_alpha": 1}},
+         EXIT_BAD_CONFIG),
+        ({"canonical": {"a": 1, "b": 0, "l": 1e-300, "sin_alpha": 0, "cos_alpha": 1}},
+         EXIT_BAD_CONFIG),
+        # canonicalizes to a ~ 1e160, whose edge table overflows
+        ({"segments": [[[0, 0], [1e-160, 0]], [[0, 1], [1, 1]]]}, EXIT_BAD_CONFIG),
+        # distinct pairs, far out and tiny: coincidence is relative to the pair
+        ({"segments": [[[1e13, 0], [1e13, 3]], [[1e13, 5], [1e13, 8]]]}, EXIT_OK),
+        ({"segments": [[[0, 0], [1e-13, 0]], [[0, 5e-14], [1e-13, 5e-14]]]}, EXIT_OK),
+    ])
+    def test_edge_exit_codes_at_the_range_limits(self, scene, code, tmp_path, capsys):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene))
+        out = [str(tmp_path / "r.json"), "--svg", str(tmp_path / "r.svg")]
+        assert main(["edge", str(path), "--out", *out]) == code
+        assert capsys.readouterr().err.count("error:") == (code != EXIT_OK)
+
     def test_anomaly_exit_code(self, pair_config, monkeypatch):
         import avd.cli as cli_mod
 

@@ -166,11 +166,10 @@ class TestOracleContainment:
         # as-written branch, nonnegative ones on the relabeled branch.
         cfg = random_config(rng)
         curve = build_edge(cfg)
-        try:
-            vertices = extract_bisector(
-                cfg.canonical_s1(), cfg.canonical_s2(), GridSpec.canonical_window(cfg, 192)
-            ).vertices()
-        except Exception:
+        vertices = extract_bisector(
+            cfg.canonical_s1(), cfg.canonical_s2(), GridSpec.canonical_window(cfg, 192)
+        ).vertices()
+        if not len(vertices):
             pytest.skip("locus missed the window for this draw")
         pc = normalize(curve.poly)
         pm = normalize(curve.mirror_poly)
@@ -190,10 +189,9 @@ class TestOracleContainment:
             cfg = random_config(rng)
             curve = build_edge(cfg)
             grid = GridSpec.canonical_window(cfg, 128)
-            try:
-                vertices = extract_bisector(cfg.canonical_s1(), cfg.canonical_s2(),
-                                            grid).vertices()
-            except Exception:
+            vertices = extract_bisector(cfg.canonical_s1(), cfg.canonical_s2(),
+                                        grid).vertices()
+            if not len(vertices):
                 continue
             pc = normalize(curve.poly)
             pm = normalize(curve.mirror_poly)

@@ -1,5 +1,5 @@
-"""The array-built marching squares and the running-minimum rasterizer
-against straightforward loop versions kept here as references.
+"""The array-built marching squares, endpoint-cell mask and running-minimum
+rasterizer against straightforward loop versions kept here as references.
 
 The arithmetic is unchanged, so results must be equal, not merely close:
 the same vertices in the same order, the same polylines in the same order
@@ -15,6 +15,7 @@ from avd import GridSpec, Segment, oracle, rasterize_diagram
 from avd.oracle import (
     BOUNDARY_LABEL,
     _chain,
+    _endpoint_cells,
     _march,
     _refine_crossings,
     _segment_angles,
@@ -39,7 +40,7 @@ def reference_march(values, xs, ys, fn, skip_cells, vertex_tol):
         p0s.append((xs[ix], ys[iy]))
         p1s.append((xs[ix], ys[iy + 1]))
     if not edges:
-        return {}, [], 0
+        return {}, []
     pts = _refine_crossings(np.array(p0s), np.array(p1s), fn)
     vertices = {}
     for key, pt in zip(edges, pts):
@@ -67,7 +68,7 @@ def reference_march(values, xs, ys, fn, skip_cells, vertex_tol):
                     segments += [(keys[0], keys[1]), (keys[2], keys[3])]
                 else:
                     segments += [(keys[0], keys[3]), (keys[2], keys[1])]
-    return vertices, segments, len(edges)
+    return vertices, segments
 
 
 def reference_chain(vertices, segments):
@@ -120,15 +121,15 @@ def wavy_field(rng):
 @pytest.mark.parametrize("vertex_tol", [None, 1e-8])
 def test_march_and_chain_match_reference(seed, vertex_tol):
     rng = np.random.default_rng(seed)
-    nx, ny = rng.integers(6, 40, 2)
+    nx, ny = (int(n) for n in rng.integers(6, 40, 2))
+    grid = GridSpec(-2.0, 2.0, -1.5, 1.7, nx, ny)
     xs, ys = np.linspace(-2.0, 2.0, nx), np.linspace(-1.5, 1.7, ny)
     fn = wavy_field(rng)
     values = fn(*np.meshgrid(xs, ys))
     skip = rng.uniform(size=(ny - 1, nx - 1)) < 0.05
 
-    ref_vertices, ref_segments, ref_total = reference_march(values, xs, ys, fn, skip, vertex_tol)
-    points, segments, total = _march(values, xs, ys, fn, skip, vertex_tol)
-    assert total == ref_total > 0
+    ref_vertices, ref_segments = reference_march(values, xs, ys, fn, skip, vertex_tol)
+    points, segments = _march(fn, grid, skip, vertex_tol)
     ordered = [ref_vertices[k] for k in sorted(ref_vertices)]
     assert np.array_equal(points, np.array(ordered).reshape(-1, 2))
     assert len(segments) == len(ref_segments) > 0
@@ -138,6 +139,53 @@ def test_march_and_chain_match_reference(seed, vertex_tol):
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
         assert np.array_equal(g, e)
+
+
+def reference_endpoint_cells(grid, segments):
+    """Each endpoint's 3x3 neighbourhood of cells, each cell tested directly."""
+    xs, ys = grid.xs(), grid.ys()
+    mask = np.zeros((grid.ny - 1, grid.nx - 1), dtype=bool)
+    for seg in segments:
+        for p in seg.endpoints:
+            if not (xs[0] <= p.x <= xs[-1] and ys[0] <= p.y <= ys[-1]):
+                continue
+            ix0 = max(0, int(np.searchsorted(xs, p.x, side="right")) - 1)
+            iy0 = max(0, int(np.searchsorted(ys, p.y, side="right")) - 1)
+            for ix in (ix0 - 1, ix0, ix0 + 1):
+                for iy in (iy0 - 1, iy0, iy0 + 1):
+                    if 0 <= ix < grid.nx - 1 and 0 <= iy < grid.ny - 1:
+                        if xs[ix] <= p.x <= xs[ix + 1] and ys[iy] <= p.y <= ys[iy + 1]:
+                            mask[iy, ix] = True
+    return mask
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_endpoint_cells_match_reference(seed):
+    rng = np.random.default_rng(seed)
+
+    def coordinate(axis):
+        # on a node (so on a grid line), inside the window, or outside it
+        kind = rng.integers(3)
+        if kind == 0:
+            return float(rng.choice(axis))
+        if kind == 1:
+            return float(rng.uniform(axis[0], axis[-1]))
+        return float(rng.choice([axis[0], axis[-1]]) + rng.choice([-1.0, 1.0]) * rng.uniform())
+
+    interior_nodes = 0
+    for _ in range(300):
+        nx, ny = (int(n) for n in rng.integers(2, 12, 2))
+        x0, y0, wx, wy = rng.uniform(-3.0, 1.0, 2).tolist() + rng.uniform(0.5, 3.0, 2).tolist()
+        grid = GridSpec(x0, x0 + wx, y0, y0 + wy, nx, ny)
+        xs, ys = grid.xs(), grid.ys()
+        ends = [(coordinate(xs), coordinate(ys)) for _ in range(4)]
+        if ends[0] == ends[1] or ends[2] == ends[3]:
+            continue
+        segments = [Segment.of(*ends[:2]), Segment.of(*ends[2:])]
+        want = reference_endpoint_cells(grid, segments)
+        assert np.array_equal(_endpoint_cells(grid, segments), want)
+        interior_nodes += any(x in xs[1:-1] and y in ys[1:-1] for x, y in ends)
+    assert interior_nodes > 0
 
 
 def reference_labels(sites, grid, tie_tol=1e-12):
