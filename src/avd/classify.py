@@ -238,11 +238,7 @@ def classify_singularity(f: BivariatePoly, p: Point) -> SingularityKind:
     Raises:
         DegenerateJet: the whole Hessian vanishes at p.
     """
-    return _kind(*npoly.polyval2d(p.x, p.y, jet(normalize(f))[..., 3:]), p)
-
-
-def _kind(fxx: float, fxy: float, fyy: float, p: Point) -> SingularityKind:
-    """classify_singularity's test on the second partials of normalize(f) at p."""
+    fxx, fxy, fyy = npoly.polyval2d(p.x, p.y, jet(normalize(f))[..., 3:])
     hnorm_sq = fxx * fxx + 2.0 * fxy * fxy + fyy * fyy
     if hnorm_sq <= HESSIAN_FLOOR:
         raise DegenerateJet(f"all second partials vanish at ({p.x}, {p.y})")
@@ -290,10 +286,12 @@ def find_singularities(f: BivariatePoly) -> list[SingularPoint]:
     The real part of each of its roots is substituted into both partials, and
     the real parts of the roots of both resulting polynomials in y are the
     candidates, so two singular points with the same x are both found. The
-    candidates then go through _polish_and_accept. The search has no window,
-    so a singular point is found however far out it lies.
+    candidates then go through _polish_and_accept, and classify_singularity
+    types each point. The search has no window, so a singular point is found
+    however far out it lies.
 
     Raises:
+        DegenerateJet: the whole Hessian vanishes at a singular point.
         SharedComponent: f_x and f_y vanish together along a curve (the
             resultant vanishes identically, or both partials vanish on a
             whole vertical line), so elimination cannot isolate the singular
@@ -318,7 +316,8 @@ def find_singularities(f: BivariatePoly) -> list[SingularPoint]:
         roots = [y0 for c in in_y for y0 in npoly.polyroots(c).real]
         xs += [x0] * len(roots)
         ys += roots
-    return _polish_and_accept(j, np.array(xs, dtype=float), np.array(ys, dtype=float))
+    points = _polish_and_accept(j, np.array(xs, dtype=float), np.array(ys, dtype=float))
+    return [SingularPoint(p, classify_singularity(f, p)) for p in points]
 
 
 def _along_line(j: np.ndarray, x0, y0, dx, dy) -> np.ndarray:
@@ -340,8 +339,9 @@ def edge_singularities(f: BivariatePoly) -> list[SingularPoint]:
     sigma = -l*sin(alpha). Along the line f_x is a quadratic in the line
     parameter, and the real parts of its roots are the candidates (f_y's, if
     f_x vanishes on the line within rounding); _polish_and_accept finishes as
-    in find_singularities. The isolated point of a shared-endpoint branch
-    that factors is off the line and not found; classify_edge never asks.
+    in find_singularities, and each point is a NODE by the proof, with no
+    Hessian test. The isolated point of a shared-endpoint branch that factors
+    is off the line and not found; classify_edge never asks.
 
     Raises:
         SharedComponent: f_x and f_y both vanish along the line.
@@ -360,12 +360,13 @@ def edge_singularities(f: BivariatePoly) -> list[SingularPoint]:
     if not rows:
         raise SharedComponent("f_x and f_y both vanish on the line f_xx + f_yy = 0")
     s = npoly.polyroots(rows[0]).real
-    return _polish_and_accept(j, x0 + s * dx, y0 + s * dy)
+    return [SingularPoint(p, SingularityKind.NODE)
+            for p in _polish_and_accept(j, x0 + s * dx, y0 + s * dy)]
 
 
-def _polish_and_accept(j: np.ndarray, x: np.ndarray, y: np.ndarray) -> list[SingularPoint]:
+def _polish_and_accept(j: np.ndarray, x: np.ndarray, y: np.ndarray) -> list[Point]:
     """The singular points among the candidates (x, y) of the polynomial with
-    jet j, typed and sorted by (x, y).
+    jet j, sorted by (x, y).
 
     All candidates take POLISH_STEPS Newton steps on (f_x, f_y) = 0 together.
     A step is kept only where the Hessian is regular and the new point
@@ -385,19 +386,17 @@ def _polish_and_accept(j: np.ndarray, x: np.ndarray, y: np.ndarray) -> list[Sing
         step = np.isfinite(nx) & np.isfinite(ny)
         x, y = np.where(step, nx, x), np.where(step, ny, y)
 
-    values = npoly.polyval2d(x, y, j)
     ok = _within_rounding(
-        values[:3], npoly.polyval2d(np.abs(x), np.abs(y), np.abs(j[..., :3])), axis=0
+        npoly.polyval2d(x, y, j[..., :3]),
+        npoly.polyval2d(np.abs(x), np.abs(y), np.abs(j[..., :3])),
+        axis=0,
     )
-    found: list[tuple[Point, list]] = []
-    for px, py, *hessian in zip(x[ok], y[ok], *values[3:, ok]):
+    found: list[Point] = []
+    for px, py in zip(x[ok], y[ok]):
         radius = MERGE_RADIUS * max(1.0, math.hypot(px, py))
-        if any(math.hypot(px - q.x, py - q.y) <= radius for q, _ in found):
-            continue
-        found.append((Point(float(px), float(py)), hessian))
-
-    found.sort(key=lambda item: (item[0].x, item[0].y))
-    return [SingularPoint(p, _kind(*hessian, p)) for p, hessian in found]
+        if not any(math.hypot(px - q.x, py - q.y) <= radius for q in found):
+            found.append(Point(float(px), float(py)))
+    return sorted(found, key=lambda p: (p.x, p.y))
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +584,10 @@ def detect_geometric_degeneracy(s1: Segment, s2: Segment) -> list[DegeneracyPred
     unit = math.ldexp(diameter, -k)
     dist_tol = PREDICATE_TOL * unit
     out: list[DegeneracyPredicate] = []
+    # endpoint distances: 0, 1 are s1's endpoints and 2, 3 are s2's
+    dist = [[math.hypot(p.x - q.x, p.y - q.y) for q in pts] for p in pts]
 
-    len1, len2 = s1.length, s2.length
+    len1, len2 = dist[1][0], dist[3][2]
     equal_len = abs(len1 - len2) <= dist_tol
     d1 = _unit(s1.e1.x - s1.e0.x, s1.e1.y - s1.e0.y)
     d2 = _unit(s2.e1.x - s2.e0.x, s2.e1.y - s2.e0.y)
@@ -653,20 +654,11 @@ def detect_geometric_degeneracy(s1: Segment, s2: Segment) -> list[DegeneracyPred
             )
         )
 
-    shared = None
-    for p in s1.endpoints:
-        for q in s2.endpoints:
-            if math.hypot(p.x - q.x, p.y - q.y) <= dist_tol:
-                shared = p
-                break
-        if shared:
-            break
+    # the first endpoint of s1 within dist_tol of one of s2's
+    shared = next((pts[i] for i in (0, 1) for j in (2, 3) if dist[i][j] <= dist_tol), None)
     if shared is not None:
-        out.append(
-            DegeneracyPredicate(
-                PredicateTag.SHARED_ENDPOINT, {"x": shared.x, "y": shared.y}
-            )
-        )
+        witness = {"x": shared.x, "y": shared.y}
+        out.append(DegeneracyPredicate(PredicateTag.SHARED_ENDPOINT, witness))
 
     if equal_len and abs(d1[0] * d2[1] - d1[1] * d2[0]) <= PREDICATE_TOL:
         m1, m2 = s1.midpoint, s2.midpoint
@@ -681,15 +673,8 @@ def detect_geometric_degeneracy(s1: Segment, s2: Segment) -> list[DegeneracyPred
             )
         )
 
-    same_fwd = all(
-        math.hypot(p.x - q.x, p.y - q.y) <= dist_tol
-        for p, q in zip(s1.endpoints, s2.endpoints)
-    )
-    same_rev = all(
-        math.hypot(p.x - q.x, p.y - q.y) <= dist_tol
-        for p, q in zip(s1.endpoints, reversed(s2.endpoints))
-    )
-    if same_fwd or same_rev:
+    # s1's endpoints on s2's, forward (0-2, 1-3) or reversed (0-3, 1-2)
+    if any(dist[0][j] <= dist_tol and dist[1][5 - j] <= dist_tol for j in (2, 3)):
         out.append(DegeneracyPredicate(PredicateTag.COLLOCATED))
 
     return [

@@ -17,13 +17,13 @@ Frames: class payloads, "validation" and the report's curve_polylines are
 in the canonical frame of the pair; predicate witnesses and the SVG are in
 the world frame; a config "grid" is a world window (validation runs over
 the bounding box of its preimage). Exit codes: 2 malformed config, or a
-pair out of range for doubles (a canonical s2 whose endpoints round
-together, or an edge table that overflows); 3 identical segments, to 1e-12
-of the pair's diameter (or a canonical block whose s2 is s1, or two
-coincident diagram sites); 4 internal anomaly (a degree-1 edge, a cubic
-whose partials share a component, a singular point with a vanishing
-Hessian, or a degree-2 edge that misses the edge-conic pattern at the
-scene's "factor" tolerance).
+scene out of range for doubles (segments whose extent overflows, a
+canonical s2 whose endpoints round together, an edge table that overflows,
+or a default diagram window that does); 3 identical segments, to 1e-12 of
+the pair's diameter (or a canonical block whose s2 is s1, or two coincident
+diagram sites); 4 internal anomaly (a degree-1 edge, a cubic whose partials
+share a component, or a degree-2 edge that misses the edge-conic pattern at
+the scene's "factor" tolerance).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import Optional
 import numpy as np
 
 from .classify import (
-    DegenerateJet,
     DegreeOneAnomaly,
     EdgeClass,
     NotFromEdge,
@@ -151,6 +150,10 @@ def load_scene(path: str) -> SceneConfig:
 
     if canonical is None and not segments:
         raise ConfigError("config needs segments or a canonical block")
+    xs = [p.x for s in segments for p in s.endpoints]
+    ys = [p.y for s in segments for p in s.endpoints]
+    if segments and math.isinf(math.hypot(max(xs) - min(xs), max(ys) - min(ys))):
+        raise ConfigError("the segments' extent overflows a double")
     return SceneConfig(tuple(segments), grid, tolerances, canonical)
 
 
@@ -317,13 +320,14 @@ def cmd_diagram(args) -> int:
         raise ConfigError("diagram command needs at least 2 segments")
     grid = scene.grid
     if grid is None:
-        pts = [(p.x, p.y) for s in scene.segments for p in s.endpoints]
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        pad = 0.75 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
-        grid = GridSpec(
-            min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad, 160, 160
-        )
+        xs = [p.x for s in scene.segments for p in s.endpoints]
+        ys = [p.y for s in scene.segments for p in s.endpoints]
+        # positive, since every site has distinct endpoints
+        pad = 0.75 * max(max(xs) - min(xs), max(ys) - min(ys))
+        try:
+            grid = GridSpec(min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad, 160, 160)
+        except ValueError as exc:
+            raise ConfigError(f"default window is out of range: {exc}") from None
     raster = rasterize_diagram(list(scene.segments), grid)
     with open(args.svg, "w", encoding="utf-8") as fh:
         fh.write(render_diagram(raster, scene.segments))
@@ -396,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     except IdenticalSegments as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IDENTICAL
-    except (DegreeOneAnomaly, SharedComponent, DegenerateJet, NotFromEdge) as exc:
+    except (DegreeOneAnomaly, SharedComponent, NotFromEdge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANOMALY
 

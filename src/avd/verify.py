@@ -24,7 +24,7 @@ from .classify import (
     find_singularities,
 )
 from .edge import build_edge, leading_coefficients
-from .geometry import CanonicalConfig, Point
+from .geometry import CanonicalConfig, Point, Segment, canonicalize
 from .oracle import GridSpec, validate_curve
 from .poly import BivariatePoly, effective_degree, normalize
 
@@ -62,6 +62,12 @@ class ScenarioResult:
 # closed-form constructions
 
 
+def concyclic_draw(rng: np.random.Generator) -> tuple[float, float]:
+    while True:
+        theta = float(rng.uniform(-math.pi, math.pi))
+        if abs(math.sin(theta) + 1.0) > 1e-2:
+            return theta, float(rng.uniform(-3.0, 3.0))
+
 def concyclic_config(theta: float, h: float) -> CanonicalConfig:
     """Both segments chords of the circle with center (0, h) through (1, 0),
     with equal length 2."""
@@ -75,6 +81,12 @@ def concyclic_factors(theta: float, h: float) -> tuple[Circle, Line]:
     return circle, line
 
 
+def collinear_draw(rng: np.random.Generator) -> tuple[float, float, bool]:
+    a, l = float(rng.uniform(-4.0, 4.0)), float(rng.uniform(0.1, 3.0))
+    while abs(l - 1.0) < 0.05:
+        l = float(rng.uniform(0.1, 3.0))
+    return a, l, bool(rng.random() < 0.5)
+
 def collinear_config(a: float, l: float, flipped: bool) -> CanonicalConfig:
     """Second segment on the x-axis, midpoint (a, 0), half-length l != 1."""
     return CanonicalConfig.from_angle(a, 0.0, l, math.pi if flipped else 0.0)
@@ -86,6 +98,12 @@ def collinear_factors(a: float, l: float, flipped: bool) -> tuple[Circle, Line]:
     radius_sq = (a / lead) ** 2 - const / lead
     return Circle(center, radius_sq), Line.normalized(lead, 0.0, 0.0)
 
+
+def shared_endpoint_draw(rng: np.random.Generator) -> tuple[float, float]:
+    while True:
+        l, beta = float(rng.uniform(0.2, 3.0)), float(rng.uniform(-math.pi, math.pi))
+        if abs(l - 1.0) >= 0.05 or abs(abs(beta) - math.pi) >= 0.05:
+            return l, beta
 
 def shared_endpoint_config(l: float, beta: float) -> CanonicalConfig:
     """Second segment leaving the endpoint (-1, 0) with direction beta and
@@ -101,11 +119,15 @@ def shared_endpoint_factors(l: float, beta: float) -> tuple[Circle, Line]:
     return circle, line
 
 
+def orthocross_draw(rng: np.random.Generator) -> tuple[float, float]:
+    t1, t2 = float(rng.uniform(0.15, 1.35)), float(rng.uniform(0.15, 1.35))
+    while abs(t1 - t2) < 0.05:
+        t2 = float(rng.uniform(0.15, 1.35))
+    return t1, t2
+
 def orthocross_segments(theta1: float, theta2: float):
     """Arms of an orthogonal cross: the connector lines through paired
     endpoints are perpendicular, one pair of arms equal and one unequal."""
-    from .geometry import Segment
-
     s1 = Segment.of((2.0, 0.0), (0.0, -2.0 * math.tan(theta1)))
     s2 = Segment.of((-2.0, 0.0), (0.0, 2.0 * math.tan(theta2)))
     return s1, s2
@@ -174,15 +196,17 @@ def run_node(seed: int) -> ScenarioResult:
 def _closed_form_scenario(
     name: str,
     seed: int,
-    draw: Callable[[np.random.Generator], tuple[CanonicalConfig, tuple[Circle, Line]]],
+    draw: Callable[[np.random.Generator], tuple],
+    config: Callable[..., CanonicalConfig],
+    factors: Callable[..., tuple[Circle, Line]],
 ) -> ScenarioResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     fallbacks = 0
     ok = True
     for _ in range(50):
-        config, want = draw(rng)
-        curve = build_edge(config)
+        params = draw(rng)
+        curve = build_edge(config(*params))
         if effective_degree(curve.poly) < 3:
             # cubic terms cancelled; the quadratic dichotomy takes over
             tag = classify_edge(curve).tag
@@ -198,7 +222,7 @@ def _closed_form_scenario(
             ok = False
             worst = math.inf
             continue
-        worst = max(worst, factor_residual(curve.poly, want))
+        worst = max(worst, factor_residual(curve.poly, factors(*params)))
     ok = ok and worst <= 1e-8
     note = f", {fallbacks} degree-2 fallback(s)" if fallbacks else ""
     return ScenarioResult(
@@ -211,52 +235,30 @@ def _closed_form_scenario(
 
 
 def run_concyclic(seed: int) -> ScenarioResult:
-    def draw(rng):
-        while True:
-            theta = float(rng.uniform(-math.pi, math.pi))
-            if abs(math.sin(theta) + 1.0) > 1e-2:
-                break
-        h = float(rng.uniform(-3.0, 3.0))
-        return concyclic_config(theta, h), concyclic_factors(theta, h)
-
-    return _closed_form_scenario("concyclic", seed, draw)
+    return _closed_form_scenario(
+        "concyclic", seed, concyclic_draw, concyclic_config, concyclic_factors
+    )
 
 
 def run_collinear(seed: int) -> ScenarioResult:
-    def draw(rng):
-        a = float(rng.uniform(-4.0, 4.0))
-        l = float(rng.uniform(0.1, 3.0))
-        while abs(l - 1.0) < 0.05:
-            l = float(rng.uniform(0.1, 3.0))
-        flipped = bool(rng.random() < 0.5)
-        return collinear_config(a, l, flipped), collinear_factors(a, l, flipped)
-
-    return _closed_form_scenario("collinear", seed, draw)
+    return _closed_form_scenario(
+        "collinear", seed, collinear_draw, collinear_config, collinear_factors
+    )
 
 
 def run_shared_endpoint(seed: int) -> ScenarioResult:
-    def draw(rng):
-        l = float(rng.uniform(0.2, 3.0))
-        beta = float(rng.uniform(-math.pi, math.pi))
-        while abs(l - 1.0) < 0.05 and abs(abs(beta) - math.pi) < 0.05:
-            l = float(rng.uniform(0.2, 3.0))
-            beta = float(rng.uniform(-math.pi, math.pi))
-        return shared_endpoint_config(l, beta), shared_endpoint_factors(l, beta)
-
-    return _closed_form_scenario("shared-endpoint", seed, draw)
+    return _closed_form_scenario(
+        "shared-endpoint", seed, shared_endpoint_draw, shared_endpoint_config,
+        shared_endpoint_factors,
+    )
 
 
 def run_orthocross(seed: int) -> ScenarioResult:
-    from .geometry import canonicalize
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     ok = True
     for _ in range(50):
-        t1 = float(rng.uniform(0.15, 1.35))
-        t2 = float(rng.uniform(0.15, 1.35))
-        while abs(t1 - t2) < 0.05:
-            t2 = float(rng.uniform(0.15, 1.35))
+        t1, t2 = orthocross_draw(rng)
         s1, s2 = orthocross_segments(t1, t2)
         curve = build_edge(canonicalize(s1, s2))
         # 8 points of the world circle and 4 of the world line x = 0: by

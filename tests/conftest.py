@@ -51,34 +51,6 @@ def random_segment(rng: np.random.Generator, span: float = 4.0) -> Segment:
             return Segment.of(tuple(p), tuple(q))
 
 
-def _concyclic(rng):
-    while True:
-        theta = float(rng.uniform(-math.pi, math.pi))
-        if abs(math.sin(theta) + 1.0) > 1e-2:
-            return verify.concyclic_config(theta, float(rng.uniform(-3.0, 3.0)))
-
-
-def _collinear(rng):
-    a, l = float(rng.uniform(-4.0, 4.0)), float(rng.uniform(0.1, 3.0))
-    while abs(l - 1.0) < 0.05:
-        l = float(rng.uniform(0.1, 3.0))
-    return verify.collinear_config(a, l, bool(rng.random() < 0.5))
-
-
-def _shared_endpoint(rng):
-    while True:
-        l, beta = float(rng.uniform(0.2, 3.0)), float(rng.uniform(-math.pi, math.pi))
-        if abs(l - 1.0) >= 0.05 or abs(abs(beta) - math.pi) >= 0.05:
-            return verify.shared_endpoint_config(l, beta)
-
-
-def _orthocross(rng):
-    t1, t2 = float(rng.uniform(0.15, 1.35)), float(rng.uniform(0.15, 1.35))
-    while abs(t1 - t2) < 0.05:
-        t2 = float(rng.uniform(0.15, 1.35))
-    return canonicalize(*verify.orthocross_segments(t1, t2))
-
-
 def _congruent_parallel(rng):
     while True:
         a = float(rng.uniform(-3.0, 3.0))
@@ -87,13 +59,16 @@ def _congruent_parallel(rng):
             return CanonicalConfig.from_angle(a, b, 1.0, math.pi)
 
 
-#: Draws of each degenerate family with the parameter ranges and exclusions
-#: of bench/inputs.py, plus a random pair ("generic").
+#: Draws of each degenerate family: the `avd verify` rows' draws for the
+#: circle-times-line families, the congruent-parallel pairs whose branch is
+#: the hyperbola, NODE_CONFIG, and a random pair ("generic").
 FAMILIES = {
-    "concyclic": _concyclic,
-    "collinear": _collinear,
-    "shared-endpoint": _shared_endpoint,
-    "orthocross": _orthocross,
+    "concyclic": lambda rng: verify.concyclic_config(*verify.concyclic_draw(rng)),
+    "collinear": lambda rng: verify.collinear_config(*verify.collinear_draw(rng)),
+    "shared-endpoint":
+        lambda rng: verify.shared_endpoint_config(*verify.shared_endpoint_draw(rng)),
+    "orthocross":
+        lambda rng: canonicalize(*verify.orthocross_segments(*verify.orthocross_draw(rng))),
     "congruent-parallel": _congruent_parallel,
     "node": lambda rng: NODE_CONFIG,
     "generic": lambda rng: canonicalize(random_segment(rng), random_segment(rng)),

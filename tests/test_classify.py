@@ -248,8 +248,9 @@ class TestRightAngleNodes:
         draws = singular_locus_draws()
         assert len(draws) >= 100
         for config, p in draws:
-            fxx, _, fyy, hnorm_sq = self.hessian(config, p)
+            fxx, fxy, fyy, hnorm_sq = self.hessian(config, p)
             assert abs(fxx + fyy) <= 1e-12 * math.sqrt(hnorm_sq)
+            assert (fxy * fxy - fxx * fyy) / hnorm_sq == pytest.approx(0.5, abs=1e-12)
             cls = classify_edge(build_edge(config))
             assert cls.tag is EdgeClassTag.CUBIC_IRREDUCIBLE_SINGULAR
             assert [sp.kind for sp in cls.singularities] == [SingularityKind.NODE]

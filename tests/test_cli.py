@@ -16,7 +16,7 @@ from avd import (
     classify_edge,
     verify,
 )
-from avd.classify import DegenerateJet, DegreeOneAnomaly, NotFromEdge, SharedComponent
+from avd.classify import DegreeOneAnomaly, NotFromEdge, SharedComponent
 from avd.cli import (
     EXIT_ANOMALY,
     EXIT_BAD_CONFIG,
@@ -277,6 +277,8 @@ class TestEdgeCommand:
         # distinct pairs, far out and tiny: coincidence is relative to the pair
         ({"segments": [[[1e13, 0], [1e13, 3]], [[1e13, 5], [1e13, 8]]]}, EXIT_OK),
         ({"segments": [[[0, 0], [1e-13, 0]], [[0, 5e-14], [1e-13, 5e-14]]]}, EXIT_OK),
+        # finite endpoints whose distance overflows
+        ({"segments": [[[-1e308, 0], [0, 0]], [[1e308, 1], [0, 1]]]}, EXIT_BAD_CONFIG),
     ])
     def test_edge_exit_codes_at_the_range_limits(self, scene, code, tmp_path, capsys):
         path = tmp_path / "scene.json"
@@ -294,7 +296,7 @@ class TestEdgeCommand:
         monkeypatch.setattr(cli_mod, "build_report", boom)
         assert main(["edge", pair_config]) == EXIT_ANOMALY
 
-    @pytest.mark.parametrize("error", [SharedComponent, DegenerateJet, NotFromEdge])
+    @pytest.mark.parametrize("error", [SharedComponent, NotFromEdge])
     def test_classifier_errors_exit_code(self, error, pair_config, monkeypatch, capsys):
         import avd.cli as cli_mod
 
@@ -445,6 +447,32 @@ class TestDiagramCommand:
         ))
         assert main(["diagram", str(path), "--svg", str(tmp_path / "x.svg")]) == EXIT_IDENTICAL
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("segments", [
+        # the sites' extent overflows
+        [[[-1e308, 0], [0, 0]], [[1e308, 1], [0, 1]]],
+        # the extent is finite, but the padded default window is not
+        [[[-1.7e308, 0], [0, 0]], [[0, 1], [1, 1]]],
+    ])
+    def test_out_of_range_exit_code(self, segments, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"segments": segments}))
+        assert main(["diagram", str(path), "--svg", str(tmp_path / "x.svg")]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_default_window_scales_with_the_sites(self, tmp_path, capsys):
+        sites = [[[0, 0], [0.5, 0]], [[0.1, 0.4], [0.6, 0.5]], [[0.7, -0.2], [0.8, 0.3]]]
+        counts = []
+        for k in (-10, 0, 10):
+            path = tmp_path / f"scaled{k}.json"
+            scaled = [[[math.ldexp(v, k) for v in p] for p in s] for s in sites]
+            path.write_text(json.dumps({"segments": scaled}))
+            assert main(["diagram", str(path), "--svg", str(tmp_path / "x.svg")]) == EXIT_OK
+            summary = json.loads(capsys.readouterr().out)
+            counts.append((summary["region_cells"], summary["boundary_cells"]))
+        assert counts[0] == counts[1] == counts[2]
 
 
 class TestVerifyCommand:

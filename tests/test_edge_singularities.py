@@ -1,10 +1,13 @@
 """edge_singularities, the Laplacian-line search that classify_edge uses,
 against find_singularities, the general search by elimination.
 
-The two searches differ only in their candidates; the polish, acceptance,
-merge and typing are shared. On every cubic that classify_edge searches
-(degree 3, no circle x line split) they must find the same number of
-points, of the same kinds, each within 1e-12 * max(1, |p|) of its partner.
+The two searches differ in their candidates and in typing; the polish,
+acceptance and merge are shared. edge_singularities tags every point a node
+by the proof (tests/test_classify.py::TestRightAngleNodes), while
+find_singularities types each one from its Hessian, so the comparison is the
+check of that tag. On every cubic that classify_edge searches (degree 3, no
+circle x line split) they must find the same number of points, of the same
+kinds, each within 1e-12 * max(1, |p|) of its partner.
 """
 
 import math
@@ -147,10 +150,13 @@ def test_constant_laplacian_is_not_an_edge():
 
 
 def test_classify_edge_never_eliminates(monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("classify_edge reached the resultant search")
+    """Nor does it type: its nodes are tagged by the proof."""
 
-    monkeypatch.setattr(avd.classify, "_resultant_y", boom)
+    def boom(*args, **kwargs):
+        raise AssertionError("classify_edge reached the resultant search or the typing")
+
+    for name in ("_resultant_y", "classify_singularity"):
+        monkeypatch.setattr(avd.classify, name, boom)
     with pytest.raises(AssertionError):
         find_singularities(build_edge(verify.NODE_CONFIG).poly)
     rng = np.random.default_rng(3)
