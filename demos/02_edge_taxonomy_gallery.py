@@ -21,7 +21,6 @@ from avd import (
     normalize,
     validate_curve,
 )
-from avd.oracle import EmptyResult
 from avd.svg import render_edge_scene
 from avd.verify import NODE_CONFIG
 
@@ -46,13 +45,11 @@ def main() -> None:
         pair = [config.canonical_s1(), config.canonical_s2()]
         preds = detect_geometric_degeneracy(*pair)
         grid = GridSpec.canonical_window(config, 256)
-        try:
-            report = validate_curve(curve, grid)
+        report = validate_curve(curve, grid)
+        if report.oracle_vertex_count or report.curve_sample_count:
             verdict = f"containment {report.containment_residual:.1e}"
-            curve_polylines = report.curve_polylines
-        except EmptyResult:
+        else:
             verdict = "locus outside window"
-            curve_polylines = ()
 
         print(f"{name:22s} -> {cls.tag.value:28s} "
               f"[{', '.join(p.tag.value for p in preds) or 'no degeneracy'}] "
@@ -70,9 +67,9 @@ def main() -> None:
             grid.mapped(config.to_world),
             config.to_world,
             pair,
-            curve_polylines,
+            report.curve_polylines,
             implicit_polylines(normalize(curve.mirror_poly), grid).polylines,
-            extract_bisector(*pair, grid),
+            extract_bisector(*pair, grid).polylines,
             cls.singularities,
         )
         path = os.path.join(OUT, f"{name}.svg")

@@ -51,7 +51,6 @@ from .classify import (
 )
 from .oracle import (
     BOUNDARY_LABEL,
-    EmptyResult,
     GridSpec,
     LabeledRaster,
     PolyLineSet,
@@ -76,7 +75,6 @@ __all__ = [
     "EdgeClass",
     "EdgeClassTag",
     "EdgeCurve",
-    "EmptyResult",
     "EndpointQuery",
     "GridSpec",
     "Hyperbola",

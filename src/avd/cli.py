@@ -13,13 +13,14 @@ the block's only form, so exact rational direction cosines are expressible;
 alpha is derived from them. A diagram scene with a canonical block is
 malformed.
 
-Frames: class payloads, "validation" and the report's curve_polylines are
-in the canonical frame of the pair; predicate witnesses and the SVG are in
-the world frame; a config "grid" is a world window (validation runs over
+Frames: class payloads, "validation" and the validation's curve_polylines
+are in the canonical frame of the pair; predicate witnesses and the SVG are
+in the world frame; a config "grid" is a world window (validation runs over
 the bounding box of its preimage). Exit codes: 2 malformed config, or a
 scene out of range for doubles (segments whose extent overflows, a
-canonical s2 whose endpoints round together, an edge table that overflows,
-or a default diagram window that does); 3 identical segments, to 1e-12 of
+canonical s2 whose endpoints round together, a pair whose s2 rounds to a
+point in the canonical frame, an edge table that overflows, or a default
+diagram window that does); 3 identical segments, to 1e-12 of
 the pair's diameter (or a canonical block whose s2 is s1, or two coincident
 diagram sites); 4 internal anomaly (a degree-1 edge, a cubic whose partials
 share a component, or a degree-2 edge that misses the edge-conic pattern at
@@ -32,7 +33,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -48,8 +49,8 @@ from .classify import (
 from .edge import EdgeCurve, ZeroPolynomial, build_edge
 from .geometry import CanonicalConfig, IdenticalSegments, Segment, canonicalize
 from .oracle import (
-    EmptyResult,
     GridSpec,
+    ValidationReport,
     extract_bisector,
     implicit_polylines,
     rasterize_diagram,
@@ -171,14 +172,9 @@ class ClassificationReport:
     mirror_class: dict
     predicates: list
     validation: dict
-    #: the EdgeClass behind edge_class; in memory only, not serialized or compared
-    branch: Optional[EdgeClass] = field(default=None, compare=False, repr=False)
-    #: the branch curve as polylines, from the validation march; in memory
-    #: only, () when validation found neither locus in the window
-    curve_polylines: tuple = field(default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -224,35 +220,28 @@ def _edge_class_dict(cls: EdgeClass) -> dict:
     return out
 
 
-def build_report(curve: EdgeCurve, grid: GridSpec, tol: float, angle_tol: float,
-                 containment_tol: float) -> ClassificationReport:
+def build_report(curve: EdgeCurve, branch: EdgeClass, mirror: EdgeClass,
+                 checked: ValidationReport) -> ClassificationReport:
+    """The JSON record of an edge: its classes and validation as given."""
     config = curve.config
-    cls = classify_edge(curve, tol)
-    mirror_cls = classify_edge(curve.mirrored(), tol)
     predicates = [
         {"tag": p.tag.value, "witness": p.witness}
         for p in detect_geometric_degeneracy(config.world_s1(), config.world_s2())
     ]
-    curve_polylines: tuple = ()
-    try:
-        checked = validate_curve(curve, grid, angle_tol, containment_tol)
-        curve_polylines = checked.curve_polylines
-        validation = checked.to_dict()
-        validation["status"] = "ok"
-    except EmptyResult as exc:
-        validation = {"status": "empty", "reason": str(exc)}
+    if checked.oracle_vertex_count or checked.curve_sample_count:
+        validation = {**checked.to_dict(), "status": "ok"}
+    else:
+        validation = {"status": "empty", "reason": "neither locus intersects the window"}
     return ClassificationReport(
         canonical={k: getattr(config, k) for k in CANONICAL_KEYS},
         normalized_coefficients={
             "branch": _coeff_list(curve.poly),
             "mirror": _coeff_list(curve.mirror_poly),
         },
-        edge_class=_edge_class_dict(cls),
-        mirror_class=_edge_class_dict(mirror_cls),
+        edge_class=_edge_class_dict(branch),
+        mirror_class=_edge_class_dict(mirror),
         predicates=predicates,
         validation=validation,
-        branch=cls,
-        curve_polylines=curve_polylines,
     )
 
 
@@ -265,17 +254,16 @@ def cmd_edge(args) -> int:
     if scene.canonical is not None:
         if scene.segments:
             raise ConfigError("give either two segments or a canonical block")
-        config = scene.canonical
-    else:
-        if len(scene.segments) != 2:
-            raise ConfigError("edge command needs exactly 2 segments")
-        config = canonicalize(scene.segments[0], scene.segments[1])
-
+    elif len(scene.segments) != 2:
+        raise ConfigError("edge command needs exactly 2 segments")
     try:
+        config = scene.canonical or canonicalize(*scene.segments)
         curve = build_edge(config)
     except ZeroPolynomial as exc:  # a canonical block whose s2 is s1
         raise IdenticalSegments(str(exc)) from None
-    except ValueError as exc:  # the coefficient table overflowed
+    except IdenticalSegments:
+        raise
+    except ValueError as exc:  # the canonical s2 or the edge table is out of range
         raise ConfigError(f"edge is out of range: {exc}") from None
     tol = scene.tolerances.get("factor", FACTOR_TOL)
     angle_tol = scene.tolerances.get("angle", ANGLE_TOL)
@@ -288,8 +276,10 @@ def cmd_edge(args) -> int:
         grid = scene.grid.mapped(config.to_world.inverse())
         view = scene.grid
 
-    report = build_report(curve, grid, tol, angle_tol, containment_tol)
-    text = report.to_json()
+    branch = classify_edge(curve, tol)
+    mirror = classify_edge(curve.mirrored(), tol)
+    checked = validate_curve(curve, grid, angle_tol, containment_tol)
+    text = build_report(curve, branch, mirror, checked).to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -302,10 +292,10 @@ def cmd_edge(args) -> int:
             view,
             config.to_world,
             [s1, s2],
-            report.curve_polylines,
+            checked.curve_polylines,
             implicit_polylines(normalize(curve.mirror_poly), grid).polylines,
-            extract_bisector(s1, s2, grid),
-            report.branch.singularities,
+            extract_bisector(s1, s2, grid).polylines,
+            branch.singularities,
         )
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)

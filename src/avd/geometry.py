@@ -88,14 +88,6 @@ class SimilarityTransform:
     def identity(cls) -> "SimilarityTransform":
         return cls(0.0, 1.0, (0.0, 0.0))
 
-    @property
-    def is_identity(self) -> bool:
-        return (
-            self.rotation == 0.0
-            and self.scale == 1.0
-            and self.translation == (0.0, 0.0)
-        )
-
     def matrix(self) -> tuple[float, float, float, float, float, float]:
         """Row-major 2x3 affine matrix (m00, m01, m02, m10, m11, m12)."""
         c = math.cos(self.rotation) * self.scale
@@ -103,9 +95,13 @@ class SimilarityTransform:
         tx, ty = self.translation
         return (c, -s, tx, s, c, ty)
 
-    def __call__(self, p: Point) -> Point:
+    def apply(self, x, y):
+        """Image of the coordinates (x, y): floats or broadcasting arrays."""
         m00, m01, m02, m10, m11, m12 = self.matrix()
-        return Point(m00 * p.x + m01 * p.y + m02, m10 * p.x + m11 * p.y + m12)
+        return m00 * x + m01 * y + m02, m10 * x + m11 * y + m12
+
+    def __call__(self, p: Point) -> Point:
+        return Point(*self.apply(p.x, p.y))
 
     def apply_segment(self, s: Segment) -> Segment:
         return Segment(self(s.e0), self(s.e1))
@@ -209,9 +205,14 @@ def canonicalize(s1: Segment, s2: Segment) -> CanonicalConfig:
     Raises:
         IdenticalSegments: s1 and s2 coincide as point sets, to
             COINCIDENCE_TOL times the pair's diameter.
+        ValueError: the pair's diameter overflows, or s2's canonical
+            endpoints round together.
     """
     pts = (*s1.endpoints, *s2.endpoints)
-    eq_tol = COINCIDENCE_TOL * max(math.hypot(p.x - q.x, p.y - q.y) for p in pts for q in pts)
+    diameter = max(math.hypot(p.x - q.x, p.y - q.y) for p in pts for q in pts)
+    if math.isinf(diameter):
+        raise ValueError("the pair's extent overflows a double")
+    eq_tol = COINCIDENCE_TOL * diameter
     same_fwd = _points_match(s1.e0, s2.e0, eq_tol) and _points_match(s1.e1, s2.e1, eq_tol)
     same_rev = _points_match(s1.e0, s2.e1, eq_tol) and _points_match(s1.e1, s2.e0, eq_tol)
     if same_fwd or same_rev:
@@ -233,4 +234,6 @@ def canonicalize(s1: Segment, s2: Segment) -> CanonicalConfig:
     b = 0.5 * (e0c.y + e1c.y)
     ux, uy = e1c.x - e0c.x, e1c.y - e0c.y
     norm = math.hypot(ux, uy)
+    if norm == 0:
+        raise ValueError("s2's canonical endpoints round together")
     return CanonicalConfig(a, b, 0.5 * norm, uy / norm, ux / norm, to_world)

@@ -33,7 +33,6 @@ __all__ = [
     "LabeledRaster",
     "PolyLineSet",
     "ValidationReport",
-    "EmptyResult",
     "BOUNDARY_LABEL",
     "angle_gap",
     "extract_bisector",
@@ -42,10 +41,6 @@ __all__ = [
 ]
 
 BOUNDARY_LABEL = -1
-
-
-class EmptyResult(RuntimeError):
-    """Neither the oracle locus nor the algebraic curve meets the window."""
 
 
 @dataclass(frozen=True)
@@ -75,10 +70,7 @@ class GridSpec:
         return cls.square(6.0 * s, n)
 
     def mapped(self, t: SimilarityTransform) -> "GridSpec":
-        """Bounding box of the window's image under t, at the same nx, ny;
-        the grid itself when t is the identity."""
-        if t.is_identity:
-            return self
+        """Bounding box of the window's image under t, at the same nx, ny."""
         corners = [t(Point(x, y)) for x in (self.x_min, self.x_max)
                    for y in (self.y_min, self.y_max)]
         xs = [p.x for p in corners]
@@ -431,9 +423,8 @@ def validate_curve(
     one march of the branch polynomial; its chains are kept as the report's
     curve_polylines, so a renderer need not march the branch again.
 
-    Raises:
-        EmptyResult: neither the oracle locus nor the algebraic curve meets
-            the window.
+    When neither locus meets the window both counts are 0, both notes are
+    set, and the report passes vacuously.
     """
     s1, s2 = curve.config.canonical_s1(), curve.config.canonical_s2()
     p_conv = normalize(curve.poly)
@@ -445,10 +436,6 @@ def validate_curve(
         notes.append("oracle locus missed the window or produced no sign change")
 
     samples, segments = _march(p_conv, grid)
-
-    if len(oracle_vertices) == 0 and len(samples) == 0:
-        raise EmptyResult("neither locus intersects the window")
-
     if len(oracle_vertices):
         rc = np.abs(p_conv(oracle_vertices[:, 0], oracle_vertices[:, 1]))
         rm = np.abs(p_mirr(oracle_vertices[:, 0], oracle_vertices[:, 1]))

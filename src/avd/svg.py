@@ -12,7 +12,7 @@ import numpy as np
 
 from .classify import SingularPoint
 from .geometry import Segment, SimilarityTransform
-from .oracle import BOUNDARY_LABEL, GridSpec, LabeledRaster, PolyLineSet
+from .oracle import BOUNDARY_LABEL, GridSpec, LabeledRaster
 
 #: Fixed region palette, cycled over site indices.
 PALETTE = (
@@ -36,15 +36,15 @@ def _fmt(x: float) -> str:
 class _Mapper:
     """Coordinates -> SVG pixels of the world window grid (y axis flipped).
 
-    Points go through to_world first; the identity map is skipped, so
-    world-frame input keeps its bits.
+    Points go through to_world first. The identity map keeps every bit of
+    its input, except that it turns -0.0 into 0.0.
     """
 
     def __init__(
         self, grid: GridSpec, to_world: SimilarityTransform = SimilarityTransform.identity()
     ) -> None:
         self.grid = grid
-        self.affine = None if to_world.is_identity else to_world.matrix()
+        self.to_world = to_world
         spanx = grid.x_max - grid.x_min
         spany = grid.y_max - grid.y_min
         self.width = _SIZE
@@ -52,14 +52,8 @@ class _Mapper:
         self.sx = self.width / spanx
         self.sy = self.height / spany
 
-    def _world(self, x, y):
-        if self.affine is None:
-            return x, y
-        m00, m01, m02, m10, m11, m12 = self.affine
-        return m00 * x + m01 * y + m02, m10 * x + m11 * y + m12
-
     def __call__(self, x: float, y: float) -> tuple[float, float]:
-        x, y = self._world(x, y)
+        x, y = self.to_world.apply(x, y)
         return (
             (x - self.grid.x_min) * self.sx,
             (self.grid.y_max - y) * self.sy,
@@ -69,7 +63,7 @@ class _Mapper:
         # the mapping of __call__ as two array expressions: the same IEEE
         # operations, so the same strings
         pts = np.asarray(points, dtype=float)
-        x, y = self._world(pts[:, 0], pts[:, 1])
+        x, y = self.to_world.apply(pts[:, 0], pts[:, 1])
         xs = ((x - self.grid.x_min) * self.sx).tolist()
         ys = ((self.grid.y_max - y) * self.sy).tolist()
         return "M " + " L ".join(
@@ -129,7 +123,7 @@ def render_edge_scene(
     segments: Sequence[Segment],
     curve_polylines: Iterable[np.ndarray],
     mirror_polylines: Iterable[np.ndarray],
-    oracle_polylines: PolyLineSet,
+    oracle_polylines: Iterable[np.ndarray],
     singular_points: Sequence[SingularPoint],
 ) -> str:
     """Overlay: algebraic curve (stroked, both labeling branches), oracle
@@ -143,7 +137,7 @@ def render_edge_scene(
     parts = _header(m)
     parts += _polyline_group(m, mirror_polylines, MIRROR_COLOR, 1.4)
     parts += _polyline_group(m, curve_polylines, CURVE_COLOR, 2.2)
-    parts += _polyline_group(m, oracle_polylines.polylines, ORACLE_COLOR, 1.6, dashed=True)
+    parts += _polyline_group(m, oracle_polylines, ORACLE_COLOR, 1.6, dashed=True)
     parts += _segment_group(m, segments)
     for sp in singular_points:
         cx, cy = m(sp.location.x, sp.location.y)

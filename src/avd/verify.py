@@ -202,35 +202,19 @@ def _closed_form_scenario(
 ) -> ScenarioResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    fallbacks = 0
-    ok = True
     for _ in range(50):
         params = draw(rng)
         curve = build_edge(config(*params))
-        if effective_degree(curve.poly) < 3:
-            # cubic terms cancelled; the quadratic dichotomy takes over
-            tag = classify_edge(curve).tag
-            if tag not in (
-                EdgeClassTag.QUAD_IRREDUCIBLE_HYPERBOLA,
-                EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES,
-            ):
-                ok = False
-            fallbacks += 1
-            continue
-        cls = classify_edge(curve)
-        if cls.tag is not EdgeClassTag.CUBIC_CIRCLE_TIMES_LINE:
-            ok = False
+        if classify_edge(curve).tag is not EdgeClassTag.CUBIC_CIRCLE_TIMES_LINE:
             worst = math.inf
             continue
         worst = max(worst, factor_residual(curve.poly, factors(*params)))
-    ok = ok and worst <= 1e-8
-    note = f", {fallbacks} degree-2 fallback(s)" if fallbacks else ""
     return ScenarioResult(
         name,
         "circle x line factors matching the closed form (<= 1e-8)",
-        f"max factor residual {worst:.2e}{note}",
+        f"max factor residual {worst:.2e}",
         worst,
-        ok,
+        worst <= 1e-8,
     )
 
 

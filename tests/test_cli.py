@@ -14,6 +14,7 @@ from avd import (
     SimilarityTransform,
     build_edge,
     classify_edge,
+    validate_curve,
     verify,
 )
 from avd.classify import DegreeOneAnomaly, NotFromEdge, SharedComponent
@@ -26,6 +27,7 @@ from avd.cli import (
     load_scene,
     main,
 )
+from avd.svg import CURVE_COLOR
 from avd.tolerances import ANGLE_TOL, CONTAINMENT_TOL, FACTOR_TOL
 from conftest import NODE_PAIR, random_config, similarity
 
@@ -279,6 +281,8 @@ class TestEdgeCommand:
         ({"segments": [[[0, 0], [1e-13, 0]], [[0, 5e-14], [1e-13, 5e-14]]]}, EXIT_OK),
         # finite endpoints whose distance overflows
         ({"segments": [[[-1e308, 0], [0, 0]], [[1e308, 1], [0, 1]]]}, EXIT_BAD_CONFIG),
+        # a finite extent whose canonical s2 underflows to a point
+        ({"segments": [[[-1e308, 0], [0, 0]], [[0, 1], [1, 1]]]}, EXIT_BAD_CONFIG),
     ])
     def test_edge_exit_codes_at_the_range_limits(self, scene, code, tmp_path, capsys):
         path = tmp_path / "scene.json"
@@ -290,7 +294,7 @@ class TestEdgeCommand:
     def test_anomaly_exit_code(self, pair_config, monkeypatch):
         import avd.cli as cli_mod
 
-        def boom(curve, grid, tol, angle_tol, containment_tol):
+        def boom(curve, branch, mirror, checked):
             raise DegreeOneAnomaly("forced")
 
         monkeypatch.setattr(cli_mod, "build_report", boom)
@@ -352,12 +356,18 @@ class TestEdgeCommand:
         # only the mirror branch; the curve comes from the validation march
         assert len(marched) == 1
 
-    def test_empty_validation_carries_no_curve(self, node_config):
-        report = build_report(
-            build_edge(node_config), GridSpec(50, 51, 50, 51, 16, 16), 1e-8, 1e-6, 1e-5
-        )
-        assert report.validation["status"] == "empty"
-        assert report.curve_polylines == ()
+    def test_empty_validation_carries_no_curve(self, tmp_path):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "segments": [[[-1, 0], [1, 0]], [[0, 1], [2, 1]]],
+            "grid": {"xmin": 50, "xmax": 51, "ymin": 50, "ymax": 51, "nx": 16, "ny": 16},
+        }))
+        out, svg = tmp_path / "r.json", tmp_path / "r.svg"
+        assert main(["edge", str(path), "--out", str(out), "--svg", str(svg)]) == EXIT_OK
+        assert json.loads(out.read_text())["validation"] == {
+            "status": "empty", "reason": "neither locus intersects the window"
+        }
+        assert CURVE_COLOR not in svg.read_text()
 
 
 def _edge_json(tmp_path, segments, *extra) -> dict:
@@ -440,6 +450,17 @@ class TestDiagramCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "x.svg").exists()
 
+    def test_negative_zero_on_the_window_edge_prints_zero(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({
+            "segments": [[[-0.0, 1.0], [1.0, 1.0]], [[0.5, 0.2], [0.9, 0.6]]],
+            "grid": {"xmin": 0, "xmax": 2, "ymin": 0, "ymax": 2, "nx": 8, "ny": 8},
+        }))
+        svg = tmp_path / "zero.svg"
+        assert main(["diagram", str(path), "--svg", str(svg)]) == EXIT_OK
+        text = svg.read_text()
+        assert '<line x1="0" ' in text and '"-0"' not in text
+
     def test_duplicate_sites_exit_code(self, tmp_path, capsys):
         path = tmp_path / "twice.json"
         path.write_text(json.dumps(
@@ -516,6 +537,13 @@ class TestVerifyCommand:
         assert main(["verify", "--only", "degree2"]) == 1
         assert capsys.readouterr().out.startswith("degree2  FAIL")
 
+    def test_closed_form_row_fails_on_a_conic_edge(self, monkeypatch, capsys):
+        # every draw's edge replaced by a degree-2 one, a rectangular hyperbola
+        conic = build_edge(CanonicalConfig(1.0, 1.0, 1.0, 0.0, -1.0))
+        monkeypatch.setattr(verify, "build_edge", lambda config: conic)
+        assert main(["verify", "--only", "concyclic"]) == 1
+        assert capsys.readouterr().out.startswith("concyclic  FAIL")
+
     def test_degree_search_reaches_degree_two(self, capsys):
         assert main(["verify", "--only", "degree1"]) == EXIT_OK
         assert "degrees seen: [2, 3]" in capsys.readouterr().out
@@ -536,6 +564,9 @@ class TestReportRoundTrip:
     def test_json_round_trip(self, node_config):
         curve = build_edge(node_config)
         report = build_report(
-            curve, GridSpec(-4, 4, -4, 4, 96, 96), 1e-8, 1e-6, 1e-5
+            curve,
+            classify_edge(curve, 1e-8),
+            classify_edge(curve.mirrored(), 1e-8),
+            validate_curve(curve, GridSpec(-4, 4, -4, 4, 96, 96), 1e-6, 1e-5),
         )
         assert json.loads(report.to_json()) == report.to_dict()

@@ -110,7 +110,7 @@ class TestCanonicalize:
         cfg = canonicalize(S1, Segment.of((1.0, 1.0), (3.0, 1.0)))
         assert (cfg.a, cfg.b, cfg.l) == pytest.approx((2.0, 1.0, 1.0))
         assert cfg.alpha == pytest.approx(0.0)
-        assert cfg.to_world.is_identity
+        assert cfg.to_world == SimilarityTransform.identity()
 
     def test_translation_and_vertical_partner(self):
         cfg = canonicalize(
@@ -164,6 +164,17 @@ class TestCanonicalize:
             canonicalize(S1, Segment.of((-1.0, 0.0), (1.0, 0.0)))
         with pytest.raises(IdenticalSegments):
             canonicalize(S1, Segment.of((1.0, 0.0), (-1.0, 0.0)))
+
+    @pytest.mark.parametrize("s2", [
+        # s2's canonical endpoints round together (s1 maps by 2e-308)
+        Segment.of((0.0, 1.0), (1.0, 1.0)),
+        # the pair's diameter overflows
+        Segment.of((1e308, 1.0), (0.0, 1.0)),
+    ])
+    def test_out_of_range_pair_is_a_value_error(self, s2):
+        with pytest.raises(ValueError) as info:
+            canonicalize(Segment.of((-1e308, 0.0), (0.0, 0.0)), s2)
+        assert not isinstance(info.value, IdenticalSegments)
 
     def test_mirrored_same_point_set(self):
         cfg = canonicalize(S1, Segment.of((0.5, 1.0), (2.0, 2.0)))

@@ -6,7 +6,6 @@ import pytest
 from avd import (
     BOUNDARY_LABEL,
     CanonicalConfig,
-    EmptyResult,
     EndpointQuery,
     GridSpec,
     Point,
@@ -316,7 +315,7 @@ class TestValidateCurve:
 
     def test_mapped_window(self):
         grid = GridSpec(-1.0, 3.0, 0.0, 2.0, 40, 20)
-        assert grid.mapped(SimilarityTransform.identity()) is grid
+        assert grid.mapped(SimilarityTransform.identity()) == grid
         quarter = SimilarityTransform(0.5 * math.pi, 2.0, (10.0, 0.0))
         got = grid.mapped(quarter)
         # (x, y) -> (10 - 2y, 2x): x in [6, 10], y in [-2, 6]
@@ -328,8 +327,10 @@ class TestValidateCurve:
         cfg = CanonicalConfig.from_angle(0.1, 0.05, 0.9, 0.2)
         curve = build_edge(cfg)
         tiny = GridSpec(50.0, 51.0, 50.0, 51.0, 16, 16)
-        with pytest.raises(EmptyResult):
-            validate_curve(curve, tiny)
+        report = validate_curve(curve, tiny)
+        assert (report.oracle_vertex_count, report.curve_sample_count) == (0, 0)
+        assert report.curve_polylines == ()
+        assert len(report.notes) == 2 and report.passed
 
     def test_curve_polylines_are_the_branch_polylines(self, node_config):
         curve = build_edge(node_config)
