@@ -19,7 +19,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .edge import EdgeCurve
 from .geometry import Point, Segment
-from .poly import BivariatePoly, effective_degree, jet, normalize, poly_mul
+from .poly import BivariatePoly, effective_degree, jet, normalize
 from .tolerances import (
     CUSP_BAND,
     FACTOR_TOL,
@@ -104,9 +104,6 @@ class Line:
         """Unit vector along the line."""
         return (self.u, -self.v)
 
-    def __call__(self, p: Point) -> float:
-        return self.u * p.y + self.v * p.x + self.w
-
 
 @dataclass(frozen=True)
 class Hyperbola:
@@ -177,10 +174,12 @@ def factor_circle_line(
     """Try to split a cubic into (x^2 + y^2 + a4*y + a5*x + a6)(b1*y + b2*x + b3).
 
     Any such product repeats its y^3 coefficient on x^2*y and its x^3
-    coefficient on x*y^2, which pins b1 and b2 directly. The remaining
-    unknowns (a4, a5, b3, a6) come from small least-squares solves, and the
-    candidate is accepted only if the re-expanded product reproduces every
-    coefficient within tol relative to the largest one.
+    coefficient on x*y^2, which pins b1 and b2 directly. The y^2 minus x^2
+    and the x*y coefficients give a4*b1 - a5*b2 and a4*b2 + a5*b1: (a4, a5)
+    rotated and scaled by n = b1^2 + b2^2, so each is a closed form over n,
+    and so are b3 and a6 after them. The candidate is accepted only if the
+    product's coefficients below degree three reproduce the table within tol
+    relative to the largest coefficient.
 
     Absence of a factorization is a normal result (None).
     """
@@ -190,32 +189,27 @@ def factor_circle_line(
     b2 = float(c[3, 0])
     if abs(c[2, 1] - b1) > tol * scale or abs(c[1, 2] - b2) > tol * scale:
         return None
-    if b1 * b1 + b2 * b2 <= (tol * scale) ** 2:
+    n = b1 * b1 + b2 * b2
+    if n <= (tol * scale) ** 2:
         return None
 
-    # y^2:  a4*b1 + b3        = c[0,2]
-    # x^2:  a5*b2 + b3        = c[2,0]
-    # x*y:  a4*b2 + a5*b1     = c[1,1]
-    A = np.array([[b1, 0.0, 1.0], [0.0, b2, 1.0], [b2, b1, 0.0]])
-    rhs = np.array([c[0, 2], c[2, 0], c[1, 1]])
-    a4, a5, b3 = (float(v) for v in np.linalg.lstsq(A, rhs, rcond=None)[0])
-
+    # y^2 - x^2:  a4*b1 - a5*b2 = p;  x*y:  a4*b2 + a5*b1 = q
+    p, q = float(c[0, 2] - c[2, 0]), float(c[1, 1])
+    a4 = (b1 * p + b2 * q) / n
+    a5 = (b1 * q - b2 * p) / n
+    b3 = float(c[0, 2]) - a4 * b1
     # y: a4*b3 + a6*b1 = c[0,1];  x: a5*b3 + a6*b2 = c[1,0]
-    a6 = float(
-        (b1 * (c[0, 1] - a4 * b3) + b2 * (c[1, 0] - a5 * b3)) / (b1 * b1 + b2 * b2)
-    )
+    a6 = float((b1 * (c[0, 1] - a4 * b3) + b2 * (c[1, 0] - a5 * b3)) / n)
 
-    quad = np.zeros((4, 4))
-    quad[2, 0] = 1.0
-    quad[0, 2] = 1.0
-    quad[0, 1] = a4
-    quad[1, 0] = a5
-    quad[0, 0] = a6
-    lin = np.zeros((4, 4))
-    lin[0, 1] = b1
-    lin[1, 0] = b2
-    lin[0, 0] = b3
-    if np.abs(poly_mul(quad, lin) - c).max() > tol * scale:
+    product = {
+        (2, 0): a5 * b2 + b3,
+        (0, 2): a4 * b1 + b3,
+        (1, 1): a4 * b2 + a5 * b1,
+        (1, 0): a5 * b3 + a6 * b2,
+        (0, 1): a4 * b3 + a6 * b1,
+        (0, 0): a6 * b3,
+    }
+    if any(abs(v - c[ij]) > tol * scale for ij, v in product.items()):
         return None
 
     circle = Circle(
@@ -433,10 +427,12 @@ def classify_quadratic(f: BivariatePoly, tol: float = FACTOR_TOL) -> EdgeClass:
     orthogonal (rectangular) hyperbola.
 
     With the midpoint on the first segment's axis (b ~ 0) the conic is
-    y * (2a*x - (a^2+b^2)), an orthogonal pair. Otherwise factorability is
-    decided by the 3x3 conic-matrix determinant; the split lines of a
-    degenerate conic and the asymptotes of the irreducible one both have
-    slope product -1, so orthogonality comes with the family.
+    y * (2a*x - (a^2+b^2)), an orthogonal pair. Otherwise the conic splits
+    exactly when its 3x3 matrix is singular, and that determinant has the
+    closed form sigma^3 * b * (a^2+b^2) * (4 - a^2 - b^2) / 4: it vanishes on
+    the radius-2 midpoint circle. The split lines of a degenerate conic and
+    the asymptotes of the irreducible one both have slope product -1, so
+    orthogonality comes with the family.
     """
     a, b, sigma = _recover_conic_parameters(f, tol)
     rr = a * a + b * b
@@ -449,15 +445,7 @@ def classify_quadratic(f: BivariatePoly, tol: float = FACTOR_TOL) -> EdgeClass:
             EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES, lines=(horizontal, vertical)
         )
 
-    c = f.coeffs
-    conic = np.array(
-        [
-            [c[2, 0], 0.5 * c[1, 1], 0.5 * c[1, 0]],
-            [0.5 * c[1, 1], c[0, 2], 0.5 * c[0, 1]],
-            [0.5 * c[1, 0], 0.5 * c[0, 1], c[0, 0]],
-        ]
-    )
-    det = float(np.linalg.det(conic))
+    det = sigma**3 * b * rr * (4.0 - rr) / 4.0
     center = Point(0.5 * a, 0.5 * b)
     root = math.sqrt(rr)
     # Directions where the quadratic part vanishes: u = mu * v in centered
@@ -466,7 +454,7 @@ def classify_quadratic(f: BivariatePoly, tol: float = FACTOR_TOL) -> EdgeClass:
     mu_neg = (a - root) / b
     d1 = _unit(mu_pos, 1.0)
     d2 = _unit(mu_neg, 1.0)
-    if abs(det) <= tol * (float(np.abs(c).max()) ** 3):
+    if abs(det) <= tol * float(np.abs(f.coeffs).max()) ** 3:
         lines = (
             Line.normalized(-mu_pos, 1.0, 0.5 * (mu_pos * b - a)),
             Line.normalized(-mu_neg, 1.0, 0.5 * (mu_neg * b - a)),

@@ -60,15 +60,8 @@ class Segment:
         return Point(0.5 * (self.e0.x + self.e1.x), 0.5 * (self.e0.y + self.e1.y))
 
     @property
-    def length(self) -> float:
-        return math.hypot(self.e1.x - self.e0.x, self.e1.y - self.e0.y)
-
-    @property
     def endpoints(self) -> tuple[Point, Point]:
         return (self.e0, self.e1)
-
-    def reversed(self) -> "Segment":
-        return Segment(self.e1, self.e0)
 
 
 @dataclass(frozen=True)
@@ -88,17 +81,12 @@ class SimilarityTransform:
     def identity(cls) -> "SimilarityTransform":
         return cls(0.0, 1.0, (0.0, 0.0))
 
-    def matrix(self) -> tuple[float, float, float, float, float, float]:
-        """Row-major 2x3 affine matrix (m00, m01, m02, m10, m11, m12)."""
+    def apply(self, x, y):
+        """Image of the coordinates (x, y): floats or broadcasting arrays."""
         c = math.cos(self.rotation) * self.scale
         s = math.sin(self.rotation) * self.scale
         tx, ty = self.translation
-        return (c, -s, tx, s, c, ty)
-
-    def apply(self, x, y):
-        """Image of the coordinates (x, y): floats or broadcasting arrays."""
-        m00, m01, m02, m10, m11, m12 = self.matrix()
-        return m00 * x + m01 * y + m02, m10 * x + m11 * y + m12
+        return c * x - s * y + tx, s * x + c * y + ty
 
     def __call__(self, p: Point) -> Point:
         return Point(*self.apply(p.x, p.y))

@@ -83,13 +83,6 @@ class GridSpec:
     def ys(self) -> np.ndarray:
         return np.linspace(self.y_min, self.y_max, self.ny)
 
-    @property
-    def cell_diagonal(self) -> float:
-        return math.hypot(
-            (self.x_max - self.x_min) / (self.nx - 1),
-            (self.y_max - self.y_min) / (self.ny - 1),
-        )
-
     def to_dict(self) -> dict:
         return {
             "xmin": self.x_min, "xmax": self.x_max,

@@ -140,25 +140,3 @@ def normalize(f: BivariatePoly) -> BivariatePoly:
                 c = -c
             break
     return BivariatePoly(c)
-
-
-def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two coefficient tables (full 2-D convolution), clipped back
-    to a 4x4 table. Raises if the true product exceeds degree three."""
-    full = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            if a[i, j] != 0.0:
-                full[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
-    for i in range(full.shape[0]):
-        for j in range(full.shape[1]):
-            if i + j > MAX_DEGREE and full[i, j] != 0.0:
-                raise ValueError("product exceeds total degree three")
-    return _pad4(full[:4, :4])
-
-
-def _pad4(c: np.ndarray) -> np.ndarray:
-    out = np.zeros((4, 4))
-    out[: c.shape[0], : c.shape[1]] = c
-    return out
-

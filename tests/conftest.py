@@ -23,6 +23,17 @@ NODE_PAIR = [
 ]
 
 
+def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two 4x4 coefficient tables by full 2-D convolution; the
+    product must stay within total degree three."""
+    full = np.zeros((7, 7))
+    for (i, j), v in np.ndenumerate(a):
+        full[i : i + 4, j : j + 4] += v * b
+    i, j = np.indices(full.shape)
+    assert not full[i + j > 3].any(), "product exceeds total degree three"
+    return full[:4, :4]
+
+
 @pytest.fixture
 def node_config() -> CanonicalConfig:
     """Configuration whose edge cubic is irreducible with a node at (-1, 2)."""

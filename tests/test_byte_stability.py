@@ -14,8 +14,15 @@ and over 4,211 edge cubics on which both searches find the same points
 (tests/test_edge_singularities.py) the largest move against the
 elimination search was 1.25e-14 * max(1, |p|). Its report digest went from
 dd39ac40... to 7778dca3...; its SVG digest (6e9990a7...), the generic
-digests and the diagram digests did not change. A change that alters a
-report, an SVG or a diagram label by a single byte fails here.
+digests and the diagram digests did not change. It was re-pinned again when
+factor_circle_line began to solve for the circle in closed form instead of
+by least squares: the scene's mirror branch (x - 1)(x^2 - 2x + y^2 + 3y - 3)
+now reports center_x 1.0, radius_sq 6.249999999999998 and w
+-0.9999999999999999 (were 1.0000000000000002, 6.25 and -1.0000000000000002),
+each the exact solution of its float table rounded once. Its report digest
+went from 7778dca3... to 7f7d0c09...; the SVG, generic and diagram digests
+did not change. A change that alters a report, an SVG or a diagram label by
+a single byte fails here.
 """
 
 import hashlib
@@ -31,7 +38,7 @@ from conftest import NODE_PAIR
 GENERIC_PAIR = [[[-1.3, 0.4], [0.9, 1.7]], [[0.2, -1.1], [2.4, 0.3]]]
 
 EDGE_DIGESTS = {
-    "node": ("7778dca305a3169a7e81fa453e180f5e546150b3620808ecf6a1f768e24f88a5",
+    "node": ("7f7d0c09f2cede37cb8b43f9aa1a1a0a612b0ce1418450fd5e495e9946962457",
              "6e9990a70a170ea6df547135d14c4afd0b27068107f0f3d666c93525fa07b5cd"),
     "generic": ("ad19ae8eda1558b6cb892b839e137a7b67008e132e696089c308e53064bf3222",
                 "289da5771b0cfbb918e4103ecd0195e01f25401b233ef37da0063aca67089594"),

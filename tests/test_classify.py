@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from avd import (
 )
 from avd.classify import Circle, Line, NotFromEdge
 from avd.edge import EdgeCurve
-from avd.poly import poly_mul
+from avd.tolerances import FACTOR_TOL
 from avd.verify import (
     NODE_CONFIG,
     circle_distance,
@@ -43,7 +44,7 @@ from avd.verify import (
     shared_endpoint_config,
     shared_endpoint_factors,
 )
-from conftest import FAMILIES, singular_locus_draws
+from conftest import FAMILIES, poly_mul, singular_locus_draws
 
 
 def product_table(circle: tuple[float, float, float], line: tuple[float, float, float]):
@@ -111,6 +112,50 @@ class TestFactorCircleLine:
         f = BivariatePoly(product_table((0.0, 0.0, 4.0), (1.0, 0.0, 0.0)))
         circle, line = factor_circle_line(f)
         assert circle.radius_sq == pytest.approx(-4.0)
+
+    def test_split_matches_the_exact_solution(self):
+        # Every splitting branch of the circle x line families against the
+        # same equations solved exactly over the Fractions of its float table:
+        # (a4, a5, b3) from the y^2, x^2 and x*y rows by Cramer's rule, then a6.
+        def det3(m):
+            # cofactor expansion along the first row, column indices mod 3
+            return sum(m[0][k] * (m[1][k - 2] * m[2][k - 1] - m[1][k - 1] * m[2][k - 2])
+                       for k in range(3))
+
+        checked = 0
+        for family in ("concyclic", "collinear", "shared-endpoint", "orthocross", "node"):
+            rng = np.random.default_rng(2026)
+            for _ in range(300):
+                curve = build_edge(FAMILIES[family](rng))
+                for f in (curve.poly, curve.mirrored().poly):
+                    got = factor_circle_line(f)
+                    if got is None:
+                        continue
+                    checked += 1
+                    c = [[Fraction(v) for v in row] for row in f.coeffs.tolist()]
+                    b1, b2 = c[0][3], c[3][0]
+                    system = [[b1, 0, 1], [0, b2, 1], [b2, b1, 0]]
+                    rhs = [c[0][2], c[2][0], c[1][1]]
+                    a4, a5, b3 = (
+                        det3([row[:k] + [r] + row[k + 1:] for row, r in zip(system, rhs)])
+                        / det3(system)
+                        for k in range(3)
+                    )
+                    n = b1 * b1 + b2 * b2
+                    a6 = (b1 * (c[0][1] - a4 * b3) + b2 * (c[1][0] - a5 * b3)) / n
+                    center = (float(-a5 / 2), float(-a4 / 2))
+                    radius_sq = float((a4 * a4 + a5 * a5) / 4 - a6)
+                    line = Line.normalized(float(b1), float(b2), float(b3))
+
+                    circle, got_line = got
+                    size = max(1.0, math.hypot(*center))
+                    assert math.hypot(circle.center.x - center[0],
+                                      circle.center.y - center[1]) <= 2e-15 * size
+                    assert abs(circle.radius_sq - radius_sq) <= 2e-15 * max(
+                        size * size, abs(radius_sq))
+                    assert (got_line.u, got_line.v) == (line.u, line.v)
+                    assert abs(got_line.w - line.w) <= 2e-14 * max(1.0, abs(line.w))
+        assert checked >= 5 * 300
 
 
 class TestSingularities:
@@ -357,6 +402,39 @@ class TestClassifyQuadratic:
         f = BivariatePoly(congruent_parallel_conic(1.0, 1.0).coeffs * -0.37)
         assert classify_quadratic(f).tag is EdgeClassTag.QUAD_IRREDUCIBLE_HYPERBOLA
 
+    def test_flips_once_off_the_radius_2_circle(self):
+        # Midpoints on a^2 + b^2 = 4 give two lines; moved to radius 2 +- eps,
+        # the edge turns into the hyperbola at one eps and stays one. The
+        # decision on the 3x3 conic-matrix determinant is the reference.
+        def conic_det_splits(c):
+            conic = np.array([
+                [c[2, 0], 0.5 * c[1, 1], 0.5 * c[1, 0]],
+                [0.5 * c[1, 1], c[0, 2], 0.5 * c[0, 1]],
+                [0.5 * c[1, 0], 0.5 * c[0, 1], c[0, 0]],
+            ])
+            return abs(np.linalg.det(conic)) <= FACTOR_TOL * np.abs(c).max() ** 3
+
+        two_lines = EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES
+        hyperbola = EdgeClassTag.QUAD_IRREDUCIBLE_HYPERBOLA
+        rng = np.random.default_rng(44)
+        for _ in range(100):
+            phi = float(rng.uniform(-math.pi, math.pi))
+            if abs(math.sin(phi)) < 0.05:
+                continue
+            for sign in (1.0, -1.0):
+                for at_pi in (True, False):
+                    tags = []
+                    for eps in [0.0] + [10.0**k for k in range(-14, 0)]:
+                        a, b = ((2.0 + sign * eps) * t for t in (math.cos(phi), math.sin(phi)))
+                        config = (CanonicalConfig(a, b, 1.0, 0.0, -1.0) if at_pi
+                                  else CanonicalConfig.from_angle(a, b, 1.0, math.pi))
+                        curve = build_edge(config)
+                        tags.append(classify_edge(curve).tag)
+                        assert tags[-1] is (two_lines if conic_det_splits(curve.poly.coeffs)
+                                            else hyperbola), (a, b, at_pi)
+                    assert tags[0] is two_lines and tags[-1] is hyperbola
+                    assert sum(s is not t for s, t in zip(tags, tags[1:])) == 1
+
     def test_foreign_conic_rejected(self):
         circle = BivariatePoly.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
         with pytest.raises(NotFromEdge):
@@ -453,6 +531,35 @@ class TestPredicateImpliesFactorization:
             want_c, want_l = shared_endpoint_factors(l, beta)
             assert circle_distance(cls.factors[0], want_c) <= 1e-8
             assert line_distance(cls.factors[1], want_l) <= 1e-8
+
+
+class TestFactorizationImpliesPredicate:
+    """The converse: a pair with a circle x line branch satisfies one of the
+    predicates that force the split."""
+
+    FORCING = {
+        PredicateTag.CONCYCLIC_EQUAL_LENGTH,
+        PredicateTag.ORTHOGONAL_CROSS_EQUAL_HALF,
+        PredicateTag.COLLINEAR_UNEQUAL_LENGTH,
+        PredicateTag.SHARED_ENDPOINT,
+    }
+
+    def test_every_family(self):
+        split = 0
+        for family, draw in FAMILIES.items():
+            rng = np.random.default_rng(31)
+            for _ in range(300):
+                config = draw(rng)
+                curve = build_edge(config)
+                if all(classify_edge(c).tag is not EdgeClassTag.CUBIC_CIRCLE_TIMES_LINE
+                       for c in (curve, curve.mirrored())):
+                    continue
+                split += 1
+                preds = detect_geometric_degeneracy(config.world_s1(), config.world_s2())
+                assert {p.tag for p in preds} & self.FORCING, (family, config)
+        # every draw of the five circle x line families, the node's mirror
+        # (an orthogonal cross) included
+        assert split >= 5 * 300
 
 
 class TestDetectGeometricDegeneracy:

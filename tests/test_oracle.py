@@ -23,6 +23,12 @@ from avd import (
 )
 from conftest import random_config
 
+
+def cell_diagonal(grid: GridSpec) -> float:
+    return math.hypot((grid.x_max - grid.x_min) / (grid.nx - 1),
+                      (grid.y_max - grid.y_min) / (grid.ny - 1))
+
+
 S1 = Segment.of((-1.0, 0.0), (1.0, 0.0))
 PARALLEL = Segment.of((0.0, 1.0), (2.0, 1.0))
 MIRROR_TWIN = Segment.of((3.0, 0.0), (5.0, 0.0))
@@ -123,7 +129,7 @@ class TestExtractBisector:
     def test_grid_refinement_stability(self):
         coarse = extract_bisector(S1, PARALLEL, GridSpec.square(6.0, 96)).vertices()
         fine = extract_bisector(S1, PARALLEL, GridSpec.square(6.0, 192)).vertices()
-        coarse_diag = GridSpec.square(6.0, 96).cell_diagonal
+        coarse_diag = cell_diagonal(GridSpec.square(6.0, 96))
         for pt in coarse:
             assert np.hypot(*(fine - pt).T).min() <= coarse_diag
 
@@ -181,7 +187,7 @@ class TestRasterize:
                 if a != b and a >= 0 and b >= 0:
                     transitions.append((0.5 * (xs[ix] + xs[ix + 1]), ys[iy]))
         assert transitions
-        diag = grid.cell_diagonal
+        diag = cell_diagonal(grid)
         for tx, ty in transitions[:: max(1, len(transitions) // 60)]:
             assert np.hypot(V[:, 0] - tx, V[:, 1] - ty).min() <= diag
 
@@ -203,7 +209,7 @@ class TestRasterize:
                 ).vertices()
         xs, ys = grid.xs(), grid.ys()
         labels = raster.labels
-        diag = grid.cell_diagonal
+        diag = cell_diagonal(grid)
         checked = 0
         for iy in range(labels.shape[0]):
             for ix in range(labels.shape[1] - 1):

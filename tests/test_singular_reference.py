@@ -19,9 +19,9 @@ from avd.classify import (
     _within_rounding,
     classify_singularity,
 )
-from avd.poly import derivative, normalize, poly_mul
+from avd.poly import derivative, normalize
 from avd.tolerances import MERGE_RADIUS, POLISH_STEPS, ROUNDING_ULPS
-from conftest import singular_locus_draws
+from conftest import poly_mul, singular_locus_draws
 
 _EPS = float(np.finfo(float).eps)
 
