@@ -83,8 +83,8 @@ class Circle:
 
 @dataclass(frozen=True)
 class Line:
-    """u*y + v*x + w = 0, normalized so u^2 + v^2 = 1 and the first nonzero
-    of (u, v) is positive."""
+    """u*y + v*x + w = 0, normalized so u^2 + v^2 = 1, the first nonzero
+    of (u, v) is positive and no coefficient is -0.0."""
 
     u: float
     v: float
@@ -98,7 +98,8 @@ class Line:
         u, v, w = float(u / norm), float(v / norm), float(w / norm)
         if u < 0.0 or (u == 0.0 and v < 0.0):
             u, v, w = -u, -v, -w
-        return cls(u, v, w)
+        # adding 0.0 turns -0.0 into 0.0, so every line has one representation
+        return cls(u + 0.0, v + 0.0, w + 0.0)
 
     def direction(self) -> tuple[float, float]:
         """Unit vector along the line."""

@@ -4,8 +4,10 @@ Everything here works directly from visual angles: a signed angle gap, a
 marching-squares extraction of the equal-angle locus (robust at the singular
 points the classifier cares about, where a curve tracer would need special
 cases), and an n-site raster of the full diagram. The extraction refines
-every cell-edge crossing by bisection, so its vertices are usable as an
-independent check of the algebraic curve.
+every cell-edge crossing of the angle gap by bisection, so its vertices are
+usable as an independent check of the algebraic curve. The same marching
+squares draws the polynomial curves; their crossings are solved on the cubic
+each polynomial takes along the crossed grid line.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .tolerances import (
     BISECTION_STEPS,
     CARRIER_LINE_TOL,
     CONTAINMENT_TOL,
+    CROSSING_ULPS,
     GAP_VERTEX_TOL,
     TIE_TOL,
 )
@@ -167,16 +170,82 @@ def _refine_crossings(
     return np.column_stack([x0 + t * dx, y0 + t * dy])
 
 
+def _cubic_crossings(p0: np.ndarray, p1: np.ndarray, p: BivariatePoly) -> np.ndarray:
+    """Solve p's zero along each bracket [p0_i, p1_i], which lies on a grid
+    line, on the univariate cubic p takes on that line.
+
+    Newton steps start from the bracket midpoint and keep the bisection's
+    bracket and sign convention: exact zeros count as positive, and s0 is
+    p's sign at p0 as the grid saw it. A step that leaves the open bracket,
+    or fails to halve the step before it (as near a multiple zero), is
+    replaced by the bracket's midpoint. A bracket is done when the cubic is
+    exactly 0, or when the step or the bracket is within CROSSING_ULPS ulps
+    of the brackets' largest |coordinate|; it leaves the working set at
+    once. BISECTION_STEPS caps the iterations.
+    """
+    horizontal = p0[:, 1] == p1[:, 1]  # the free coordinate is x
+    fixed = np.where(horizontal, p0[:, 1], p0[:, 0])
+    lo = np.where(horizontal, p0[:, 0], p0[:, 1])
+    hi = np.where(horizontal, p1[:, 0], p1[:, 1])
+    tol = CROSSING_ULPS * np.spacing(max(np.abs(p0).max(), np.abs(p1).max()))
+    # table[k, m]: coefficient of free^k * fixed^m; Horner over the fixed power
+    c = p.coeffs
+    table = np.where(horizontal[:, None, None], c, c.T)
+    a = table[:, :, 3]
+    for m in (2, 1, 0):
+        a = a * fixed[:, None] + table[:, :, m]
+    a3, a2, a1, a0 = a[:, 3], a[:, 2], a[:, 1], a[:, 0]
+    # the line cubic rounds differently from p, and along a line factor of p
+    # lying on the grid line it is rounding noise with no sign of its own
+    s0 = p(p0[:, 0], p0[:, 1]) >= 0
+
+    free = np.empty(len(lo))
+    todo = np.arange(len(lo))
+    t = 0.5 * (lo + hi)
+    last = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(BISECTION_STEPS):
+            f = ((a3 * t + a2) * t + a1) * t + a0
+            df = (3.0 * a3 * t + 2.0 * a2) * t + a1
+            near = (f >= 0) == s0
+            lo = np.where(near, t, lo)
+            hi = np.where(near, hi, t)
+            delta = f / df
+            newton, step = t - delta, np.abs(delta)
+            done = (f == 0) | (step <= tol) | (hi - lo <= tol)
+            # Newton while it stays inside the bracket and at least halves the
+            # step before, as it does near a simple zero; otherwise the midpoint,
+            # or t itself once done
+            take = (lo < newton) & (newton < hi) & (step <= 0.5 * last)
+            nxt = np.where(take, newton, np.where(done, t, 0.5 * (lo + hi)))
+            last = np.abs(nxt - t)
+            t = nxt
+            free[todo[done]] = t[done]
+            live = ~done
+            if not live.any():
+                break
+            todo, t, lo, hi, s0 = todo[live], t[live], lo[live], hi[live], s0[live]
+            a3, a2, a1, a0, last = a3[live], a2[live], a1[live], a0[live], last[live]
+        else:
+            free[todo] = t
+    return np.where(horizontal[:, None], np.column_stack([free, fixed]),
+                    np.column_stack([fixed, free]))
+
+
 def _march(
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     grid: GridSpec,
     skip_cells: np.ndarray | None = None,
     vertex_tol: float | None = None,
+    refine: Callable = _refine_crossings,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shared marching-squares core.
 
     fn is evaluated once on the grid axes, as fn(xs[None, :], ys[:, None]),
-    and on 1-D arrays of points by the refinement, so fields must broadcast.
+    and on 1-D arrays of points at saddle centres, so fields must broadcast.
+    refine(p0, p1, fn) places each crossing on its cell edge: the angle-gap
+    oracle bisects (_refine_crossings), a polynomial can be solved on its
+    grid-line cubic (_cubic_crossings).
 
     Every cell edge has an integer id: horizontal edge (ix, iy), from node
     (ix, iy) to (ix+1, iy), is ix*ny + iy; vertical edge (ix, iy), from
@@ -198,17 +267,21 @@ def _march(
 
     h_cross = valid[:, :-1] & valid[:, 1:] & (sign[:, :-1] != sign[:, 1:])
     v_cross = valid[:-1, :] & valid[1:, :] & (sign[:-1, :] != sign[1:, :])
-    # nonzero over the transposes runs ix-major, i.e. in id order
-    hx, hy = np.nonzero(h_cross.T)
-    vx, vy = np.nonzero(v_cross.T)
+    # flat hits are row-major, iy*(nx-1) + ix and iy*nx + ix; re-keyed to
+    # edge ids and sorted they come out in id order
+    hy, hx = np.divmod(np.flatnonzero(h_cross), nx - 1)
+    vy, vx = np.divmod(np.flatnonzero(v_cross), nx)
     if len(hx) + len(vx) == 0:
         return np.zeros((0, 2)), np.zeros((0, 2), dtype=np.intp)
 
     n_h = (nx - 1) * ny
-    ids = np.concatenate([hx * ny + hy, n_h + vx * (ny - 1) + vy])
+    h_ids, v_ids = np.sort(hx * ny + hy), np.sort(vx * (ny - 1) + vy)
+    hx, hy = np.divmod(h_ids, ny)
+    vx, vy = np.divmod(v_ids, ny - 1)
+    ids = np.concatenate([h_ids, n_h + v_ids])
     p0 = np.column_stack([xs[np.concatenate([hx, vx])], ys[np.concatenate([hy, vy])]])
     p1 = np.column_stack([xs[np.concatenate([hx + 1, vx])], ys[np.concatenate([hy, vy + 1])]])
-    points = _refine_crossings(p0, p1, fn)
+    points = refine(p0, p1, fn)
     if vertex_tol is not None:
         r = fn(points[:, 0], points[:, 1])
         keep = np.isfinite(r) & (np.abs(r) <= vertex_tol)
@@ -220,12 +293,17 @@ def _march(
     at_h = slot[:n_h].reshape(nx - 1, ny).T  # (ny, nx-1), [iy, ix]
     at_v = slot[n_h:].reshape(nx, ny - 1).T  # (ny-1, nx)
     have_h, have_v = at_h >= 0, at_v >= 0
-    kept = np.sum([have_h[:-1], have_v[:, 1:], have_h[1:], have_v[:, :-1]], axis=0)
+    kept = have_h[:-1].astype(np.int8)
+    kept += have_v[:, 1:]
+    kept += have_h[1:]
+    kept += have_v[:, :-1]
     live = (kept == 2) | (kept == 4)
     live &= valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1] & valid[1:, 1:]
     if skip_cells is not None:
         live &= ~skip_cells
-    cx, cy = np.nonzero(live.T)  # (ix, iy) order
+    # live.T is (nx-1, ny-1), so its flat hits are cell keys in (ix, iy) order;
+    # live keeps at_h's transposed layout, so live.T flattens without a copy
+    cx, cy = np.divmod(np.flatnonzero(live.T), ny - 1)
 
     # a cell's edges in key order: bottom, right, top, left
     sides = np.column_stack([at_h[cy, cx], at_v[cy, cx + 1], at_h[cy + 1, cx], at_v[cy, cx]])
@@ -315,9 +393,9 @@ def extract_bisector(s1: Segment, s2: Segment, grid: GridSpec) -> PolyLineSet:
 
 def implicit_polylines(p: BivariatePoly, grid: GridSpec) -> PolyLineSet:
     """Zero set of a polynomial as polylines (marching squares, crossings
-    refined by bisection on the polynomial). The set is empty when p never
-    changes sign on the grid."""
-    return PolyLineSet(_chain(*_march(p, grid)))
+    solved on p's grid-line cubics by _cubic_crossings). The set is empty
+    when p never changes sign on the grid."""
+    return PolyLineSet(_chain(*_march(p, grid, refine=_cubic_crossings)))
 
 
 def rasterize_diagram(sites: Sequence[Segment], grid: GridSpec) -> LabeledRaster:
@@ -413,8 +491,9 @@ def validate_curve(
     point at the angles the world pair sees its image at. tol is the
     angle-gap tolerance used to decide whether an algebraic-curve sample
     point is genuinely equal-angle. The samples are the vertices of
-    one march of the branch polynomial; its chains are kept as the report's
-    curve_polylines, so a renderer need not march the branch again.
+    one march of the branch polynomial, with its crossings solved on its
+    grid-line cubics, as implicit_polylines does; its chains are kept as the
+    report's curve_polylines, so a renderer need not march the branch again.
 
     When neither locus meets the window both counts are 0, both notes are
     set, and the report passes vacuously.
@@ -428,7 +507,7 @@ def validate_curve(
     if not len(oracle_vertices):
         notes.append("oracle locus missed the window or produced no sign change")
 
-    samples, segments = _march(p_conv, grid)
+    samples, segments = _march(p_conv, grid, refine=_cubic_crossings)
     if len(oracle_vertices):
         rc = np.abs(p_conv(oracle_vertices[:, 0], oracle_vertices[:, 1]))
         rm = np.abs(p_mirr(oracle_vertices[:, 0], oracle_vertices[:, 1]))

@@ -34,6 +34,9 @@ UNIT_CIRCLE_TOL = 1e-9
 GAP_VERTEX_TOL = 1e-10
 #: halvings of each crossing's bracket; 2^-60 of a cell edge is below double resolution
 BISECTION_STEPS = 60
+#: a polynomial crossing is solved once its Newton step or bracket is this many ulps
+#: of the largest |coordinate|; rounding in the grid-line cubic is about as large
+CROSSING_ULPS = 4.0
 #: nodes whose two smallest visual angles differ by at most this are boundary nodes
 TIE_TOL = 1e-12
 #: distance from a site's carrier line, over max(1, site length), that counts as on it

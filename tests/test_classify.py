@@ -371,6 +371,20 @@ class TestClassifyQuadratic:
         assert line_distance(l1, Line.normalized(1.0, 0.0, 0.0)) <= 1e-12
         assert line_distance(l2, Line.normalized(0.0, 1.0, -1.0)) <= 1e-12
 
+    def test_normalized_lines_have_no_negative_zero(self):
+        def zeros_positive(line):
+            return all(math.copysign(1.0, c) == 1.0 for c in (line.u, line.v, line.w) if c == 0)
+
+        assert math.copysign(1.0, Line.normalized(0.0, -2.0, 1.0).u) == 1.0
+        assert zeros_positive(Line.normalized(-1.0, 0.0, 0.0))
+        # the degree-2 edge with b = 0 and a < 0: its vertical line x = a/2
+        # comes with a negative x coefficient
+        q = classify_edge(build_edge(CanonicalConfig(-1.5, 0.0, 1.0, 0.0, -1.0)))
+        assert q.tag is EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES
+        horizontal, vertical = q.lines
+        assert vertical.u == 0.0 and math.copysign(1.0, vertical.u) == 1.0
+        assert zeros_positive(horizontal) and zeros_positive(vertical)
+
     def test_factorable_off_axis(self):
         # midpoint distance 2 makes the conic determinant vanish
         q = classify_quadratic(congruent_parallel_conic(0.0, 2.0))
