@@ -19,9 +19,10 @@ from numpy.polynomial import polynomial as npoly
 
 from .edge import EdgeCurve
 from .geometry import Point, Segment
-from .poly import BivariatePoly, effective_degree, jet, normalize
+from .poly import BivariatePoly, effective_degree, horner2, jet, normalize
 from .tolerances import (
     CUSP_BAND,
+    DEGREE_TOL,
     FACTOR_TOL,
     HESSIAN_FLOOR,
     MERGE_RADIUS,
@@ -191,7 +192,9 @@ def factor_circle_line(
     if abs(c[2, 1] - b1) > tol * scale or abs(c[1, 2] - b2) > tol * scale:
         return None
     n = b1 * b1 + b2 * b2
-    if n <= (tol * scale) ** 2:
+    floor = tol * scale
+    # a product overflows to inf, where ** 2 would raise OverflowError
+    if n <= floor * floor:
         return None
 
     # y^2 - x^2:  a4*b1 - a5*b2 = p;  x*y:  a4*b2 + a5*b1 = q
@@ -233,7 +236,7 @@ def classify_singularity(f: BivariatePoly, p: Point) -> SingularityKind:
     Raises:
         DegenerateJet: the whole Hessian vanishes at p.
     """
-    fxx, fxy, fyy = npoly.polyval2d(p.x, p.y, jet(normalize(f))[..., 3:])
+    fxx, fxy, fyy = (horner2(t, p.x, p.y) for t in _tables(jet(normalize(f)))[3:])
     hnorm_sq = fxx * fxx + 2.0 * fxy * fxy + fyy * fyy
     if hnorm_sq <= HESSIAN_FLOOR:
         raise DegenerateJet(f"all second partials vanish at ({p.x}, {p.y})")
@@ -248,10 +251,15 @@ def classify_singularity(f: BivariatePoly, p: Point) -> SingularityKind:
 _EPS = float(np.finfo(float).eps)
 
 
-def _within_rounding(value, magnitude, axis=None):
-    """Every |value| is within ROUNDING_ULPS epsilons of its `magnitude`,
-    reduced over `axis` (over all of them by default)."""
-    return np.all(np.abs(value) <= ROUNDING_ULPS * _EPS * magnitude, axis=axis)
+def _tables(j: np.ndarray) -> list:
+    """The jet's tables f, f_x, f_y, f_xx, f_xy, f_yy as nested lists for
+    horner2."""
+    return j.transpose(2, 0, 1).tolist()
+
+
+def _within_rounding(values, magnitudes) -> bool:
+    """Every |value| is within ROUNDING_ULPS epsilons of its magnitude."""
+    return all(abs(v) <= ROUNDING_ULPS * _EPS * m for v, m in zip(values, magnitudes))
 
 
 def _resultant_y(cx: np.ndarray, cy: np.ndarray, sign: float = -1.0) -> np.ndarray:
@@ -298,9 +306,8 @@ def find_singularities(f: BivariatePoly) -> list[SingularPoint]:
     if _within_rounding(res, _resultant_y(np.abs(cx), np.abs(cy), 1.0)):
         raise SharedComponent("the resultant of f_x and f_y vanishes identically")
 
-    xs: list[float] = []
-    ys: list[float] = []
-    for x0 in np.unique(npoly.polyroots(res).real):
+    candidates: list[tuple[float, float]] = []
+    for x0 in np.unique(npoly.polyroots(res).real).tolist():
         in_y = []
         for c in (cx, cy):
             coeffs = npoly.polyval(x0, c)
@@ -308,20 +315,21 @@ def find_singularities(f: BivariatePoly) -> list[SingularPoint]:
                 in_y.append(coeffs)
         if not in_y:
             raise SharedComponent(f"f_x and f_y both vanish on the line x = {x0}")
-        roots = [y0 for c in in_y for y0 in npoly.polyroots(c).real]
-        xs += [x0] * len(roots)
-        ys += roots
-    points = _polish_and_accept(j, np.array(xs, dtype=float), np.array(ys, dtype=float))
+        candidates += [(x0, y0) for c in in_y for y0 in npoly.polyroots(c).real.tolist()]
+    points = _polish_and_accept(_tables(j), _tables(np.abs(j)), candidates)
     return [SingularPoint(p, classify_singularity(f, p)) for p in points]
 
 
-def _along_line(j: np.ndarray, x0, y0, dx, dy) -> np.ndarray:
+def _along_line(tables: list, x0: float, y0: float, dx: float, dy: float) -> list:
     """Coefficients (1, s, s^2) of f_x and f_y, one row each, on the line
-    (x0 + s*dx, y0 + s*dy), from the jet j: the value, the directional
-    derivative and half the constant second directional derivative."""
-    gx, gy, hxx, hxy, hyy = npoly.polyval2d(x0, y0, j[..., 1:])
-    quad = j[2, 0, 1:3] * dx * dx + j[1, 1, 1:3] * dx * dy + j[0, 2, 1:3] * dy * dy
-    return np.array([[gx, hxx * dx + hxy * dy, quad[0]], [gy, hxy * dx + hyy * dy, quad[1]]])
+    (x0 + s*dx, y0 + s*dy), from the jet's tables: the value, the
+    directional derivative and half the constant second directional
+    derivative."""
+    gx, gy, hxx, hxy, hyy = (horner2(t, x0, y0) for t in tables[1:])
+    return [
+        [g, hx * dx + hy * dy, t[2][0] * dx * dx + t[1][1] * dx * dy + t[0][2] * dy * dy]
+        for g, hx, hy, t in ((gx, hxx, hxy, tables[1]), (gy, hxy, hyy, tables[2]))
+    ]
 
 
 def edge_singularities(f: BivariatePoly) -> list[SingularPoint]:
@@ -343,54 +351,60 @@ def edge_singularities(f: BivariatePoly) -> list[SingularPoint]:
         NotFromEdge: f_xx + f_yy is constant, so f is not an edge cubic.
     """
     j = jet(normalize(f))
-    lap = j[..., 3] + j[..., 5]
-    w, u, v = lap[0, 0], lap[1, 0], lap[0, 1]
+    tables, bounds = _tables(j), _tables(np.abs(j))
+    w, u, v = (tables[3][i][k] + tables[5][i][k] for i, k in ((0, 0), (1, 0), (0, 1)))
     norm = math.hypot(u, v)
     if norm == 0.0:
         raise NotFromEdge("f_xx + f_yy is constant, so there is no Laplacian line")
     x0, y0, dx, dy = -w * u / norm**2, -w * v / norm**2, -v / norm, u / norm
-    coeffs = _along_line(j, x0, y0, dx, dy)
-    bound = _along_line(np.abs(j), abs(x0), abs(y0), abs(dx), abs(dy))
+    coeffs = _along_line(tables, x0, y0, dx, dy)
+    bound = _along_line(bounds, abs(x0), abs(y0), abs(dx), abs(dy))
     rows = [c for c, m in zip(coeffs, bound) if not _within_rounding(c, m)]
     if not rows:
         raise SharedComponent("f_x and f_y both vanish on the line f_xx + f_yy = 0")
-    s = npoly.polyroots(rows[0]).real
+    candidates = [(x0 + s * dx, y0 + s * dy) for s in npoly.polyroots(rows[0]).real.tolist()]
     return [SingularPoint(p, SingularityKind.NODE)
-            for p in _polish_and_accept(j, x0 + s * dx, y0 + s * dy)]
+            for p in _polish_and_accept(tables, bounds, candidates)]
 
 
-def _polish_and_accept(j: np.ndarray, x: np.ndarray, y: np.ndarray) -> list[Point]:
+def _polish_and_accept(
+    tables: list, bounds: list, candidates: list[tuple[float, float]]
+) -> list[Point]:
     """The singular points among the candidates (x, y) of the polynomial with
-    jet j, sorted by (x, y).
+    jet tables `tables` (and `bounds`, those of the jet's absolute values),
+    sorted by (x, y).
 
-    All candidates take POLISH_STEPS Newton steps on (f_x, f_y) = 0 together.
-    A step is kept only where the Hessian is regular and the new point
-    finite; a rejected step (a cusp candidate that is already exact) leaves
-    its point where it was, so every later step there is rejected too. A
-    candidate is accepted when f, f_x and f_y each vanish within
-    ROUNDING_ULPS epsilons of their own sum |c_ij| |x|^i |y|^j. Accepted
-    points within MERGE_RADIUS * max(1, |p|) of an earlier one are dropped.
+    Each candidate takes POLISH_STEPS Newton steps on (f_x, f_y) = 0, in
+    floats, with horner2's bit-exact evaluation. A step is kept only where
+    the Hessian is regular and the new point finite; a rejected step (a cusp
+    candidate that is already exact) leaves the point where it was, so every
+    later step there would be rejected too. A candidate is accepted when f,
+    f_x and f_y each vanish within ROUNDING_ULPS epsilons of their own sum
+    |c_ij| |x|^i |y|^j. Accepted points within MERGE_RADIUS * max(1, |p|) of
+    an earlier one are dropped.
     """
-    for _ in range(POLISH_STEPS):
-        gx, gy, hxx, hxy, hyy = npoly.polyval2d(x, y, j[..., 1:])
-        det = hxx * hyy - hxy * hxy
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    _, tx, ty, txx, txy, tyy = tables
+    found: list[Point] = []
+    for x, y in candidates:
+        for _ in range(POLISH_STEPS):
+            gx, gy = horner2(tx, x, y), horner2(ty, x, y)
+            hxx, hxy, hyy = horner2(txx, x, y), horner2(txy, x, y), horner2(tyy, x, y)
+            det = hxx * hyy - hxy * hxy
+            if det == 0.0:
+                break
             nx = x - (gx * hyy - gy * hxy) / det
             ny = y - (gy * hxx - gx * hxy) / det
-        # a zero det makes the step infinite or NaN, so this also drops it
-        step = np.isfinite(nx) & np.isfinite(ny)
-        x, y = np.where(step, nx, x), np.where(step, ny, y)
-
-    ok = _within_rounding(
-        npoly.polyval2d(x, y, j[..., :3]),
-        npoly.polyval2d(np.abs(x), np.abs(y), np.abs(j[..., :3])),
-        axis=0,
-    )
-    found: list[Point] = []
-    for px, py in zip(x[ok], y[ok]):
-        radius = MERGE_RADIUS * max(1.0, math.hypot(px, py))
-        if not any(math.hypot(px - q.x, py - q.y) <= radius for q in found):
-            found.append(Point(float(px), float(py)))
+            if not (math.isfinite(nx) and math.isfinite(ny)):
+                break
+            x, y = nx, ny
+        ax, ay = abs(x), abs(y)
+        if not _within_rounding(
+            [horner2(t, x, y) for t in tables[:3]], [horner2(m, ax, ay) for m in bounds[:3]]
+        ):
+            continue
+        radius = MERGE_RADIUS * max(1.0, math.hypot(x, y))
+        if not any(math.hypot(x - q.x, y - q.y) <= radius for q in found):
+            found.append(Point(x, y))
     return sorted(found, key=lambda p: (p.x, p.y))
 
 
@@ -480,6 +494,14 @@ def _unit(x: float, y: float) -> tuple[float, float]:
 def classify_edge(curve: EdgeCurve, tol: float = FACTOR_TOL) -> EdgeClass:
     """Table-style classification of the curve's own labeling branch.
 
+    The edge has degree 3 when its cubic terms t = 1 + l*cos(alpha) and
+    sigma = -l*sin(alpha) (edge.leading_coefficients, which build_edge
+    writes into the table's y^3 and x^3 entries) rise above DEGREE_TOL
+    times 1 + l, their size before cancellation. The configuration decides
+    it, not the table's other coefficients: a pair far apart has degree-2
+    terms about l^2 and cubic ones about l, which a cutoff relative to the
+    largest coefficient would drop.
+
     Degree 3: try the circle-times-line split; otherwise the cubic is
     irreducible, and it is singular exactly when edge_singularities, which
     intersects the cubic's Laplacian line f_xx + f_yy = 0 with the conic
@@ -490,12 +512,12 @@ def classify_edge(curve: EdgeCurve, tol: float = FACTOR_TOL) -> EdgeClass:
     canonicalization.
 
     Raises:
-        DegreeOneAnomaly: effective degree is 1 or 0.
+        DegreeOneAnomaly: no cubic terms, and effective degree 1 or 0.
         SharedComponent: an unfactored cubic whose partials share a curve.
     """
     poly = curve.poly
-    deg = effective_degree(poly)
-    if deg >= 3:
+    t, sigma = poly.coefficient(0, 3), poly.coefficient(3, 0)
+    if max(abs(t), abs(sigma)) > DEGREE_TOL * (1.0 + curve.config.l):
         factors = factor_circle_line(poly, tol)
         if factors is not None:
             return EdgeClass(EdgeClassTag.CUBIC_CIRCLE_TIMES_LINE, factors=factors)
@@ -505,11 +527,12 @@ def classify_edge(curve: EdgeCurve, tol: float = FACTOR_TOL) -> EdgeClass:
                 EdgeClassTag.CUBIC_IRREDUCIBLE_SINGULAR, singularities=tuple(sings)
             )
         return EdgeClass(EdgeClassTag.CUBIC_IRREDUCIBLE_REGULAR)
-    if deg == 2:
-        return classify_quadratic(poly, tol)
-    raise DegreeOneAnomaly(
-        f"edge polynomial has effective degree {deg}; valid pairs never produce this"
-    )
+    deg = effective_degree(poly)
+    if deg < 2:
+        raise DegreeOneAnomaly(
+            f"edge polynomial has effective degree {deg}; valid pairs never produce this"
+        )
+    return classify_quadratic(poly, tol)
 
 
 # ---------------------------------------------------------------------------

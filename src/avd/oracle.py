@@ -121,7 +121,7 @@ def _segment_angles(X: np.ndarray, Y: np.ndarray, s: Segment) -> np.ndarray:
     ang = np.arctan2(np.abs(cross), dot)
     # e.x - X == 0 exactly when X == e.x, so a point can sit on an endpoint
     # only if that endpoint's x occurs in X and its y in Y; cheap on axes
-    if any(np.any(X == e.x) and np.any(Y == e.y) for e in s.endpoints):
+    if any((X == e.x).any() and (Y == e.y).any() for e in s.endpoints):
         at_end = ((d0x == 0) & (d0y == 0)) | ((d1x == 0) & (d1y == 0))
         ang = np.where(at_end, np.nan, ang)
     return ang
@@ -158,11 +158,13 @@ def _refine_crossings(
     x0, y0 = p0[:, 0], p0[:, 1]
     dx, dy = p1[:, 0] - x0, p1[:, 1] - y0
     f0 = fn(x0, y0)
-    s0 = np.where(np.isnan(f0), True, f0 >= 0)
+    # NaN compares False: a NaN end counts as positive, as on the grid, and
+    # a NaN midpoint below as negative
+    s0 = ~(f0 < 0)
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         fm = fn(x0 + mid * dx, y0 + mid * dy)
-        sm = np.where(np.isnan(fm), False, fm >= 0)
+        sm = fm >= 0
         take_lo = sm == s0
         lo = np.where(take_lo, mid, lo)
         hi = np.where(take_lo, hi, mid)
@@ -318,7 +320,7 @@ def _march(
     centre = fn(0.5 * (xs[sx] + xs[sx + 1]), 0.5 * (ys[sy] + ys[sy + 1]))
     # same sign as the lower-left corner: the corners across the other
     # diagonal are isolated
-    same = np.where(np.isnan(centre), False, centre >= 0) == sign[sy, sx]
+    same = (centre >= 0) == sign[sy, sx]
     _, right, top, left = sides[saddle].T
     pairs[saddle, 1] = np.where(same, right, left)
     second = np.column_stack([top, np.where(same, left, right)])

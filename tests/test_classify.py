@@ -23,6 +23,7 @@ from avd import (
     classify_quadratic,
     classify_singularity,
     detect_geometric_degeneracy,
+    effective_degree,
     factor_circle_line,
     find_singularities,
     gradient,
@@ -485,6 +486,18 @@ class TestClassifyEdge:
         cls = classify_edge(build_edge(cfg))
         assert cls.tag is EdgeClassTag.CUBIC_IRREDUCIBLE_REGULAR
         assert cls.singularities == ()
+
+    @pytest.mark.parametrize("s", [1e12, 1e14, 1e16, 1e100])
+    def test_far_pair_stays_cubic(self, s):
+        """The degree-2 terms of a = l = s, b = 0 grow like s^2 and the cubic
+        ones like s, so from s = 1e12 on the cubic terms sit under DEGREE_TOL
+        times the largest coefficient; the degree comes from the cubic terms
+        against 1 + l instead. At s = 1e100 the square of the circle x line
+        split's floor overflows."""
+        curve = build_edge(CanonicalConfig(s, 0.0, s, 0.6, 0.8))
+        assert effective_degree(curve.poly) == 2
+        for branch in (curve, curve.mirrored()):
+            assert classify_edge(branch).tag is EdgeClassTag.CUBIC_IRREDUCIBLE_REGULAR
 
     def test_degree_one_anomaly(self, node_config):
         doctored = BivariatePoly.from_terms({(1, 0): 1.0, (0, 1): 1.0})

@@ -283,6 +283,9 @@ class TestEdgeCommand:
         ({"segments": [[[-1e308, 0], [0, 0]], [[1e308, 1], [0, 1]]]}, EXIT_BAD_CONFIG),
         # a finite extent whose canonical s2 underflows to a point
         ({"segments": [[[-1e308, 0], [0, 0]], [[0, 1], [1, 1]]]}, EXIT_BAD_CONFIG),
+        # a cubic whose cubic terms are 1e-12 of its largest coefficient
+        ({"canonical": {"a": 1e12, "b": 0, "l": 1e12, "sin_alpha": 0.6, "cos_alpha": 0.8}},
+         EXIT_OK),
     ])
     def test_edge_exit_codes_at_the_range_limits(self, scene, code, tmp_path, capsys):
         path = tmp_path / "scene.json"

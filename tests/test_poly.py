@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +15,7 @@ from avd import (
     gradient,
     normalize,
 )
+from avd.poly import horner2
 from avd.tolerances import DEGREE_TOL
 
 UNIT_CIRCLE = BivariatePoly.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
@@ -74,6 +78,29 @@ class TestPolyval2dReference:
             got, want = f(x, y), npoly.polyval2d(x, y, f.coeffs)
             assert type(got) is type(want)
             assert got.tobytes() == want.tobytes()
+
+    def test_horner2_on_floats(self, rng):
+        """horner2 on nested lists equals polyval2d bit for bit, signed
+        zeros, overflow to inf and the NaN that follows included."""
+        special = [0.0, -0.0, 1e200, -1e200, math.inf, -math.inf]
+        seen = set()
+        for _ in range(2000):
+            c = rng.uniform(-3, 3, (4, 4)) * 10.0 ** rng.integers(-3, 4, (4, 4))
+            c[rng.random((4, 4)) < 0.3] = 0.0
+            c[rng.random((4, 4)) < 0.2] = -0.0
+            c[rng.random((4, 4)) < 0.05] = 1e300
+            x, y = (
+                float(rng.choice(special)) if rng.random() < 0.3 else float(rng.uniform(-4, 4))
+                for _ in range(2)
+            )
+            with np.errstate(all="ignore"):
+                want = float(npoly.polyval2d(x, y, c))
+            got = horner2(c.tolist(), x, y)
+            assert struct.pack("<d", got) == struct.pack("<d", want), (c, x, y)
+            if not math.isfinite(got) or got == 0.0:
+                seen.add(str(got))
+        # the draws reach -0.0, +-inf and NaN
+        assert seen == {"nan", "inf", "-inf", "0.0", "-0.0"}
 
 
 class TestGradient:
