@@ -30,8 +30,6 @@ from .edge import EdgeCurve, build_edge, leading_coefficients
 from .classify import (
     Circle,
     DegeneracyPredicate,
-    DegenerateJet,
-    DegreeOneAnomaly,
     EdgeClass,
     EdgeClassTag,
     Hyperbola,
@@ -43,11 +41,9 @@ from .classify import (
     SingularPoint,
     classify_edge,
     classify_quadratic,
-    classify_singularity,
     detect_geometric_degeneracy,
     edge_singularities,
     factor_circle_line,
-    find_singularities,
 )
 from .oracle import (
     BOUNDARY_LABEL,
@@ -70,8 +66,6 @@ __all__ = [
     "CanonicalConfig",
     "Circle",
     "DegeneracyPredicate",
-    "DegenerateJet",
-    "DegreeOneAnomaly",
     "EdgeClass",
     "EdgeClassTag",
     "EdgeCurve",
@@ -97,13 +91,11 @@ __all__ = [
     "canonicalize",
     "classify_edge",
     "classify_quadratic",
-    "classify_singularity",
     "detect_geometric_degeneracy",
     "edge_singularities",
     "effective_degree",
     "extract_bisector",
     "factor_circle_line",
-    "find_singularities",
     "gradient",
     "implicit_polylines",
     "jet",

@@ -1,6 +1,7 @@
 """Edge-curve taxonomy: degree cascade, circle-times-line factorization,
-singularity detection and typing, quadratic classification, and the
-geometric predicates that force each degeneracy.
+the search for an edge's singular points (each a right-angle node),
+quadratic classification, and the geometric predicates that force each
+degeneracy.
 
 Irreducibility of a cubic edge is decided operationally: the only
 factorization an edge cubic admits is circle times line, so a cubic is
@@ -19,12 +20,10 @@ from numpy.polynomial import polynomial as npoly
 
 from .edge import EdgeCurve
 from .geometry import Point, Segment
-from .poly import BivariatePoly, effective_degree, horner2, jet, normalize
+from .poly import BivariatePoly, horner2, jet, normalize
 from .tolerances import (
-    CUSP_BAND,
     DEGREE_TOL,
     FACTOR_TOL,
-    HESSIAN_FLOOR,
     MERGE_RADIUS,
     POLISH_STEPS,
     PREDICATE_TOL,
@@ -41,26 +40,14 @@ __all__ = [
     "EdgeClass",
     "PredicateTag",
     "DegeneracyPredicate",
-    "DegreeOneAnomaly",
-    "DegenerateJet",
     "NotFromEdge",
     "SharedComponent",
     "factor_circle_line",
-    "find_singularities",
     "edge_singularities",
-    "classify_singularity",
     "classify_quadratic",
     "classify_edge",
     "detect_geometric_degeneracy",
 ]
-
-
-class DegreeOneAnomaly(RuntimeError):
-    """An edge of effective degree <= 1; impossible for a valid segment pair."""
-
-
-class DegenerateJet(ValueError):
-    """All second partials vanish at a singular point; outside the taxonomy."""
 
 
 class NotFromEdge(ValueError):
@@ -69,8 +56,8 @@ class NotFromEdge(ValueError):
 
 
 class SharedComponent(ValueError):
-    """f_x and f_y share a curve component, so elimination cannot isolate the
-    singular points."""
+    """f_x and f_y both vanish along the Laplacian line, so the line search
+    cannot isolate the singular points."""
 
 
 @dataclass(frozen=True)
@@ -118,9 +105,10 @@ class Hyperbola:
 
 
 class SingularityKind(enum.Enum):
+    """Every singular point of an edge is a right-angle node
+    (tests/test_classify.py::TestRightAngleNodes), so this is the only kind."""
+
     NODE = "node"
-    CUSP = "cusp"
-    ISOLATED_POINT = "isolated_point"
 
 
 @dataclass(frozen=True)
@@ -226,28 +214,6 @@ def factor_circle_line(
 # singularities
 
 
-def classify_singularity(f: BivariatePoly, p: Point) -> SingularityKind:
-    """Type a singular point from the Hessian discriminant
-    D = f_xy^2 - f_xx*f_yy: positive gives two real tangent branches (node),
-    negative no real branch (isolated point), and the band of CUSP_BAND
-    times |H|^2 around zero a shared tangent (cusp). The band is a
-    classification resolution, not a claim of exactness.
-
-    Raises:
-        DegenerateJet: the whole Hessian vanishes at p.
-    """
-    fxx, fxy, fyy = (horner2(t, p.x, p.y) for t in _tables(jet(normalize(f)))[3:])
-    hnorm_sq = fxx * fxx + 2.0 * fxy * fxy + fyy * fyy
-    if hnorm_sq <= HESSIAN_FLOOR:
-        raise DegenerateJet(f"all second partials vanish at ({p.x}, {p.y})")
-    disc = fxy * fxy - fxx * fyy
-    if disc > CUSP_BAND * hnorm_sq:
-        return SingularityKind.NODE
-    if disc < -CUSP_BAND * hnorm_sq:
-        return SingularityKind.ISOLATED_POINT
-    return SingularityKind.CUSP
-
-
 _EPS = float(np.finfo(float).eps)
 
 
@@ -260,64 +226,6 @@ def _tables(j: np.ndarray) -> list:
 def _within_rounding(values, magnitudes) -> bool:
     """Every |value| is within ROUNDING_ULPS epsilons of its magnitude."""
     return all(abs(v) <= ROUNDING_ULPS * _EPS * m for v, m in zip(values, magnitudes))
-
-
-def _resultant_y(cx: np.ndarray, cy: np.ndarray, sign: float = -1.0) -> np.ndarray:
-    """Resultant in y of the conics with coefficient tables cx and cy, as
-    coefficients of a polynomial in x of degree at most 4. Where both y^2
-    (and then both y) columns vanish, the formula of the next lower degree
-    is used, since the degree-2 one would vanish identically. With sign=+1
-    and absolute tables it sums the absolute terms instead: the rounding
-    bound of each coefficient."""
-    (a0, a1, a2), (b0, b1, b2) = cx[:, :3].T, cy[:, :3].T
-    u = np.convolve(a2, b0) + sign * np.convolve(a0, b2)
-    v = np.convolve(a2, b1) + sign * np.convolve(a1, b2)
-    w = np.convolve(a1, b0) + sign * np.convolve(a0, b1)
-    if a2.any() or b2.any():
-        return np.convolve(u, u) + sign * np.convolve(v, w)
-    if a1.any() or b1.any():
-        return w
-    return np.ones(1)
-
-
-def find_singularities(f: BivariatePoly) -> list[SingularPoint]:
-    """All real solutions of f = f_x = f_y = 0, typed, sorted by (x, y).
-
-    The partials are conics, so their common zeros come from elimination
-    (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, ch. 3): the
-    resultant of f_x and f_y in y is a polynomial of degree at most 4 in x.
-    The real part of each of its roots is substituted into both partials, and
-    the real parts of the roots of both resulting polynomials in y are the
-    candidates, so two singular points with the same x are both found. The
-    candidates then go through _polish_and_accept, and classify_singularity
-    types each point. The search has no window, so a singular point is found
-    however far out it lies.
-
-    Raises:
-        DegenerateJet: the whole Hessian vanishes at a singular point.
-        SharedComponent: f_x and f_y vanish together along a curve (the
-            resultant vanishes identically, or both partials vanish on a
-            whole vertical line), so elimination cannot isolate the singular
-            points; f is not reduced, or is constant on that curve.
-    """
-    j = jet(normalize(f))
-    cx, cy = j[..., 1], j[..., 2]
-    res = _resultant_y(cx, cy)
-    if _within_rounding(res, _resultant_y(np.abs(cx), np.abs(cy), 1.0)):
-        raise SharedComponent("the resultant of f_x and f_y vanishes identically")
-
-    candidates: list[tuple[float, float]] = []
-    for x0 in np.unique(npoly.polyroots(res).real).tolist():
-        in_y = []
-        for c in (cx, cy):
-            coeffs = npoly.polyval(x0, c)
-            if not _within_rounding(coeffs, npoly.polyval(abs(x0), np.abs(c))):
-                in_y.append(coeffs)
-        if not in_y:
-            raise SharedComponent(f"f_x and f_y both vanish on the line x = {x0}")
-        candidates += [(x0, y0) for c in in_y for y0 in npoly.polyroots(c).real.tolist()]
-    points = _polish_and_accept(_tables(j), _tables(np.abs(j)), candidates)
-    return [SingularPoint(p, classify_singularity(f, p)) for p in points]
 
 
 def _along_line(tables: list, x0: float, y0: float, dx: float, dy: float) -> list:
@@ -334,17 +242,18 @@ def _along_line(tables: list, x0: float, y0: float, dx: float, dy: float) -> lis
 
 def edge_singularities(f: BivariatePoly) -> list[SingularPoint]:
     """The singular points of an unfactored edge cubic, found on its
-    Laplacian line instead of by elimination.
+    Laplacian line.
 
     Each is a right-angle node (tests/test_classify.py::TestRightAngleNodes),
     so f_xx + f_yy = 0 there. That sum is linear in any cubic; on an edge it
     is 8*sigma*x + 8*t*y + const up to scale, with t = 1 + l*cos(alpha) and
     sigma = -l*sin(alpha). Along the line f_x is a quadratic in the line
     parameter, and the real parts of its roots are the candidates (f_y's, if
-    f_x vanishes on the line within rounding); _polish_and_accept finishes as
-    in find_singularities, and each point is a NODE by the proof, with no
-    Hessian test. The isolated point of a shared-endpoint branch that factors
-    is off the line and not found; classify_edge never asks.
+    f_x vanishes on the line within rounding); _polish_and_accept finishes,
+    and each point is a NODE by the proof, with no Hessian test. The search
+    by elimination in tests/elimination.py is the independent check of both.
+    The isolated point of a shared-endpoint branch that factors is off the
+    line and not found; classify_edge never asks.
 
     Raises:
         SharedComponent: f_x and f_y both vanish along the line.
@@ -506,14 +415,14 @@ def classify_edge(curve: EdgeCurve, tol: float = FACTOR_TOL) -> EdgeClass:
     irreducible, and it is singular exactly when edge_singularities, which
     intersects the cubic's Laplacian line f_xx + f_yy = 0 with the conic
     f_x = 0 and accepts points where f, f_x and f_y vanish to rounding, finds
-    a point anywhere in the plane; find_singularities remains the general
-    search, by elimination, for any cubic. Degree 2: the quadratic
-    dichotomy. Anything lower signals a bug or an input that evaded
-    canonicalization.
+    a point anywhere in the plane. Otherwise the quadratic dichotomy: the
+    quadratic part b*x^2 - 2a*xy - b*y^2 of the edge conic vanishes only for
+    a = b = 0, where s2 is s1, so a valid pair has no edge of lower degree,
+    and a table without the conic pattern is not from an edge.
 
     Raises:
-        DegreeOneAnomaly: no cubic terms, and effective degree 1 or 0.
         SharedComponent: an unfactored cubic whose partials share a curve.
+        NotFromEdge: no cubic terms, and no edge-conic pattern.
     """
     poly = curve.poly
     t, sigma = poly.coefficient(0, 3), poly.coefficient(3, 0)
@@ -527,11 +436,6 @@ def classify_edge(curve: EdgeCurve, tol: float = FACTOR_TOL) -> EdgeClass:
                 EdgeClassTag.CUBIC_IRREDUCIBLE_SINGULAR, singularities=tuple(sings)
             )
         return EdgeClass(EdgeClassTag.CUBIC_IRREDUCIBLE_REGULAR)
-    deg = effective_degree(poly)
-    if deg < 2:
-        raise DegreeOneAnomaly(
-            f"edge polynomial has effective degree {deg}; valid pairs never produce this"
-        )
     return classify_quadratic(poly, tol)
 
 

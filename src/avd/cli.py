@@ -19,12 +19,12 @@ in the world frame; a config "grid" is a world window (validation runs over
 the bounding box of its preimage). Exit codes: 2 malformed config, or a
 scene out of range for doubles (segments whose extent overflows, a
 canonical s2 whose endpoints round together, a pair whose s2 rounds to a
-point in the canonical frame, an edge table that overflows, or a default
-diagram window that does); 3 identical segments, to 1e-12 of
-the pair's diameter (or a canonical block whose s2 is s1, or two coincident
-diagram sites); 4 internal anomaly (a degree-1 edge, a cubic whose partials
-share a component, or a degree-2 edge that misses the edge-conic pattern at
-the scene's "factor" tolerance).
+point in the canonical frame, an edge table that overflows, an edge whose
+oracle or SVG marches overflow, or a default diagram window that does);
+3 identical segments, to 1e-12 of the pair's diameter (or a canonical block
+whose s2 is s1, or two coincident diagram sites); 4 internal anomaly (a
+cubic whose partials share a component, or a degree-2 edge that misses the
+edge-conic pattern at the scene's "factor" tolerance).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import Optional
 import numpy as np
 
 from .classify import (
-    DegreeOneAnomaly,
     EdgeClass,
     NotFromEdge,
     SharedComponent,
@@ -278,7 +277,23 @@ def cmd_edge(args) -> int:
 
     branch = classify_edge(curve, tol)
     mirror = classify_edge(curve.mirrored(), tol)
-    checked = validate_curve(curve, grid, angle_tol, containment_tol)
+    s1, s2 = config.canonical_s1(), config.canonical_s2()
+    # canonical coordinates near 1e153 overflow in the marches' products
+    try:
+        with np.errstate(over="raise"):
+            checked = validate_curve(curve, grid, angle_tol, containment_tol)
+            if args.svg:
+                svg = render_edge_scene(
+                    view,
+                    config.to_world,
+                    [s1, s2],
+                    checked.curve_polylines,
+                    implicit_polylines(normalize(curve.mirror_poly), grid).polylines,
+                    extract_bisector(s1, s2, grid).polylines,
+                    branch.singularities,
+                )
+    except FloatingPointError as exc:
+        raise ConfigError(f"edge is out of range: {exc}") from None
     text = build_report(curve, branch, mirror, checked).to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -287,16 +302,6 @@ def cmd_edge(args) -> int:
         print(text)
 
     if args.svg:
-        s1, s2 = config.canonical_s1(), config.canonical_s2()
-        svg = render_edge_scene(
-            view,
-            config.to_world,
-            [s1, s2],
-            checked.curve_polylines,
-            implicit_polylines(normalize(curve.mirror_poly), grid).polylines,
-            extract_bisector(s1, s2, grid).polylines,
-            branch.singularities,
-        )
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
     return EXIT_OK
@@ -390,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     except IdenticalSegments as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IDENTICAL
-    except (DegreeOneAnomaly, SharedComponent, NotFromEdge) as exc:
+    except (SharedComponent, NotFromEdge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANOMALY
 

@@ -8,13 +8,9 @@ its float stays exactly what it was.
 # classification
 #: circle-times-line and edge-conic residual over the largest coefficient (scene "factor")
 FACTOR_TOL = 1e-8
-#: Hessian discriminant over |H|^2 inside which a singular point is a cusp
-CUSP_BAND = 1e-7
-#: |H|^2 of the normalized polynomial at or below which the whole Hessian vanishes
-HESSIAN_FLOOR = 1e-16
 #: a value is zero within this many epsilons of its sum of absolute terms (its rounding bound)
 ROUNDING_ULPS = 64.0
-#: Newton steps that polish each elimination candidate for a singular point
+#: Newton steps that polish each candidate for a singular point
 POLISH_STEPS = 4
 #: singular points closer than this times max(1, |p|) are one point
 MERGE_RADIUS = 1e-6

@@ -18,15 +18,15 @@ from .classify import (
     Circle,
     EdgeClassTag,
     Line,
-    SingularityKind,
+    _tables,
+    _within_rounding,
     classify_edge,
     factor_circle_line,
-    find_singularities,
 )
 from .edge import build_edge, leading_coefficients
 from .geometry import CanonicalConfig, Point, Segment, canonicalize
 from .oracle import GridSpec, validate_curve
-from .poly import BivariatePoly, effective_degree, normalize
+from .poly import BivariatePoly, effective_degree, horner2, jet, normalize
 
 DEFAULT_SEED = 20240811
 
@@ -176,14 +176,21 @@ def run_node(seed: int) -> ScenarioResult:
     for (i, j), want in NODE_COEFFS.items():
         got = curve.poly.coefficient(i, j)
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    sings = find_singularities(curve.poly)
-    loc_ok = (
-        len(sings) == 1
-        and math.hypot(sings[0].location.x + 1.0, sings[0].location.y - 2.0) <= 1e-8
-        and sings[0].kind is SingularityKind.NODE
-    )
+    # a node at (-1, 2) without a search: F, its gradient and the Hessian
+    # trace vanish there within rounding, and the Hessian discriminant is > 0
+    j = jet(curve.poly)
+    f, fx, fy, fxx, fxy, fyy = (horner2(t, -1.0, 2.0) for t in _tables(j))
+    m = [horner2(t, 1.0, 2.0) for t in _tables(np.abs(j))]
+    node = (_within_rounding([f, fx, fy, fxx + fyy], [m[0], m[1], m[2], m[3] + m[5]])
+            and fxy * fxy - fxx * fyy > 0.0)
     cls = classify_edge(curve)
-    ok = worst <= 1e-12 and loc_ok and cls.tag is EdgeClassTag.CUBIC_IRREDUCIBLE_SINGULAR
+    sings = cls.singularities
+    found = (
+        cls.tag is EdgeClassTag.CUBIC_IRREDUCIBLE_SINGULAR
+        and len(sings) == 1
+        and math.hypot(sings[0].location.x + 1.0, sings[0].location.y - 2.0) <= 1e-8
+    )
+    ok = worst <= 1e-12 and node and found
     return ScenarioResult(
         "node",
         "irreducible cubic, node at (-1, 2)",

@@ -9,8 +9,6 @@ from numpy.polynomial import polynomial as npoly
 from avd import (
     BivariatePoly,
     CanonicalConfig,
-    DegenerateJet,
-    DegreeOneAnomaly,
     EdgeClassTag,
     Point,
     PredicateTag,
@@ -21,11 +19,9 @@ from avd import (
     canonicalize,
     classify_edge,
     classify_quadratic,
-    classify_singularity,
     detect_geometric_degeneracy,
     effective_degree,
     factor_circle_line,
-    find_singularities,
     gradient,
     jet,
     normalize,
@@ -45,6 +41,8 @@ from avd.verify import (
     shared_endpoint_config,
     shared_endpoint_factors,
 )
+import elimination
+from elimination import Kind
 from conftest import FAMILIES, poly_mul, singular_locus_draws
 
 
@@ -160,28 +158,30 @@ class TestFactorCircleLine:
 
 
 class TestSingularities:
+    """The elimination search of tests/elimination.py, the independent check
+    of the package's Laplacian-line search, on cubics with known points."""
+
     def test_node_showcase(self, node_config):
-        sings = find_singularities(build_edge(node_config).poly)
+        sings = elimination.find_singularities(build_edge(node_config).poly)
         assert len(sings) == 1
         sp = sings[0]
         assert math.hypot(sp.location.x + 1.0, sp.location.y - 2.0) <= 1e-8
-        assert sp.kind is SingularityKind.NODE
+        assert sp.kind is Kind.NODE
 
     def test_smooth_circle(self):
         f = BivariatePoly.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
-        assert find_singularities(f) == []
+        assert elimination.find_singularities(f) == []
 
     def test_nodal_cubic_family(self, rng):
-        cases = [(1.0, SingularityKind.NODE), (-1.0, SingularityKind.ISOLATED_POINT),
-                 (0.0, SingularityKind.CUSP)]
+        cases = [(1.0, Kind.NODE), (-1.0, Kind.ISOLATED_POINT), (0.0, Kind.CUSP)]
         for _ in range(20):
             a = float(rng.uniform(0.05, 3.0)) * (1 if rng.random() < 0.5 else -1)
             cases.append(
-                (a, SingularityKind.NODE if a > 0 else SingularityKind.ISOLATED_POINT)
+                (a, Kind.NODE if a > 0 else Kind.ISOLATED_POINT)
             )
         for a, want in cases:
             f = BivariatePoly.from_terms({(0, 2): 1.0, (3, 0): -1.0, (2, 0): -a})
-            sings = find_singularities(f)
+            sings = elimination.find_singularities(f)
             assert len(sings) == 1
             assert math.hypot(sings[0].location.x, sings[0].location.y) <= 1e-8
             assert sings[0].kind is want
@@ -197,8 +197,8 @@ class TestSingularities:
         y90 = linear(90.0, 0.0, 1.0)
         x150, x149 = linear(-150.0, 1.0, 0.0), linear(-149.0, 1.0, 0.0)
         f = BivariatePoly(poly_mul(y90, y90) - poly_mul(poly_mul(x150, x150), x149))
-        sings = find_singularities(f)
-        assert [sp.kind for sp in sings] == [SingularityKind.NODE]
+        sings = elimination.find_singularities(f)
+        assert [sp.kind for sp in sings] == [Kind.NODE]
         p = sings[0].location
         assert math.hypot(p.x - 150.0, p.y + 90.0) <= 1e-6 * math.hypot(150.0, 90.0)
         # the gradient also vanishes at x = 150 - 2/3, off the curve
@@ -208,8 +208,8 @@ class TestSingularities:
         # x (x^2 + y^2 - 1): the line meets the circle at (0, -1) and (0, 1);
         # f_y = 2xy has no y^2 term and vanishes identically at x = 0
         f = BivariatePoly.from_terms({(3, 0): 1.0, (1, 2): 1.0, (1, 0): -1.0})
-        sings = find_singularities(f)
-        assert [sp.kind for sp in sings] == [SingularityKind.NODE] * 2
+        sings = elimination.find_singularities(f)
+        assert [sp.kind for sp in sings] == [Kind.NODE] * 2
         for sp, y in zip(sings, (-1.0, 1.0)):
             assert math.hypot(sp.location.x, sp.location.y - y) <= 1e-12
 
@@ -218,7 +218,7 @@ class TestSingularities:
         # x y^2: they share y = 0 and the resultant in y vanishes
         for terms in ({(2, 1): 1.0}, {(1, 2): 1.0}):
             with pytest.raises(SharedComponent):
-                find_singularities(BivariatePoly.from_terms(terms))
+                elimination.find_singularities(BivariatePoly.from_terms(terms))
 
     def test_reported_points_polished(self, rng):
         for _ in range(10):
@@ -226,33 +226,35 @@ class TestSingularities:
             f = normalize(
                 BivariatePoly.from_terms({(0, 2): 1.0, (3, 0): -1.0, (2, 0): -a})
             )
-            for sp in find_singularities(f):
+            for sp in elimination.find_singularities(f):
                 p = sp.location
                 gx, gy = gradient(f, p)
                 assert max(abs(float(f(p.x, p.y))), abs(gx), abs(gy)) <= 1e-8
 
 
 class TestClassifySingularity:
+    """The Hessian typing of the elimination search."""
+
     def test_three_kinds(self):
         node = BivariatePoly.from_terms({(0, 2): 1.0, (3, 0): -1.0, (2, 0): -1.0})
         isolated = BivariatePoly.from_terms({(0, 2): 1.0, (3, 0): -1.0, (2, 0): 1.0})
         cusp = BivariatePoly.from_terms({(0, 2): 1.0, (3, 0): -1.0})
         origin = Point(0.0, 0.0)
-        assert classify_singularity(node, origin) is SingularityKind.NODE
-        assert classify_singularity(isolated, origin) is SingularityKind.ISOLATED_POINT
-        assert classify_singularity(cusp, origin) is SingularityKind.CUSP
+        assert elimination.classify_singularity(node, origin) is Kind.NODE
+        assert elimination.classify_singularity(isolated, origin) is Kind.ISOLATED_POINT
+        assert elimination.classify_singularity(cusp, origin) is Kind.CUSP
         # y^2 = x^3 + a x^2 has a node for a > 0 and an isolated point for a < 0
         rng = np.random.default_rng(20240811)
         for _ in range(20):
             a = float(rng.uniform(0.05, 3.0)) * (1 if rng.random() < 0.5 else -1)
             f = BivariatePoly.from_terms({(0, 2): 1.0, (3, 0): -1.0, (2, 0): -a})
-            want = SingularityKind.NODE if a > 0 else SingularityKind.ISOLATED_POINT
-            assert classify_singularity(f, origin) is want, a
+            want = Kind.NODE if a > 0 else Kind.ISOLATED_POINT
+            assert elimination.classify_singularity(f, origin) is want, a
 
     def test_degenerate_jet(self):
         triple = BivariatePoly.from_terms({(3, 0): 1.0})
-        with pytest.raises(DegenerateJet):
-            classify_singularity(triple, Point(0.0, 0.0))
+        with pytest.raises(elimination.DegenerateJet):
+            elimination.classify_singularity(triple, Point(0.0, 0.0))
 
 
 class TestRightAngleNodes:
@@ -499,11 +501,25 @@ class TestClassifyEdge:
         for branch in (curve, curve.mirrored()):
             assert classify_edge(branch).tag is EdgeClassTag.CUBIC_IRREDUCIBLE_REGULAR
 
+    @pytest.mark.parametrize("a", [1e11, 1e13])
+    @pytest.mark.parametrize("b", [0.0, 0.5])
+    def test_far_antiparallel_pair_is_a_conic(self, a, b):
+        """A congruent antiparallel pair far out: the degree-2 branch's y term
+        grows like a^2 and its quadratic ones like a, so a cutoff relative to
+        the largest coefficient calls it degree 1. Its cubic terms vanish in
+        the configuration, so it goes to the conic dichotomy; the other
+        labeling is a cubic."""
+        curve = build_edge(CanonicalConfig(a, b, 1.0, 0.0, -1.0))
+        assert effective_degree(curve.poly) == 1
+        assert classify_edge(curve).tag is EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES
+        assert classify_edge(curve.mirrored()).tag is EdgeClassTag.CUBIC_IRREDUCIBLE_REGULAR
+
     def test_degree_one_anomaly(self, node_config):
+        # a table with neither cubic terms nor the edge-conic pattern
         doctored = BivariatePoly.from_terms({(1, 0): 1.0, (0, 1): 1.0})
         curve = build_edge(node_config)
         fake = EdgeCurve(curve.config, doctored, doctored)
-        with pytest.raises(DegreeOneAnomaly):
+        with pytest.raises(NotFromEdge):
             classify_edge(fake)
 
     def test_node_showcase_mirror_branch_factors(self, node_config):

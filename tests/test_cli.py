@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from avd import (
+    BivariatePoly,
     CanonicalConfig,
     EdgeClass,
     EdgeClassTag,
+    EdgeCurve,
     GridSpec,
     Point,
     SimilarityTransform,
@@ -17,7 +19,7 @@ from avd import (
     validate_curve,
     verify,
 )
-from avd.classify import DegreeOneAnomaly, NotFromEdge, SharedComponent
+from avd.classify import NotFromEdge, SharedComponent
 from avd.cli import (
     EXIT_ANOMALY,
     EXIT_BAD_CONFIG,
@@ -286,6 +288,13 @@ class TestEdgeCommand:
         # a cubic whose cubic terms are 1e-12 of its largest coefficient
         ({"canonical": {"a": 1e12, "b": 0, "l": 1e12, "sin_alpha": 0.6, "cos_alpha": 0.8}},
          EXIT_OK),
+        # congruent antiparallel pairs far apart: a degree-2 edge whose quadratic
+        # terms are under DEGREE_TOL times its largest coefficient
+        *(({"segments": [[[0, 0], [2, 0]], [[d + 2, 1], [d, 1]]]}, EXIT_OK)
+          for d in (1e11, 1e12, 1e14)),
+        # an edge table in range whose oracle and SVG marches overflow
+        *(({"canonical": {"a": s, "b": 0, "l": s, "sin_alpha": 0.6, "cos_alpha": 0.8}},
+           EXIT_BAD_CONFIG) for s in (1e153, 1e154)),
     ])
     def test_edge_exit_codes_at_the_range_limits(self, scene, code, tmp_path, capsys):
         path = tmp_path / "scene.json"
@@ -293,15 +302,6 @@ class TestEdgeCommand:
         out = [str(tmp_path / "r.json"), "--svg", str(tmp_path / "r.svg")]
         assert main(["edge", str(path), "--out", *out]) == code
         assert capsys.readouterr().err.count("error:") == (code != EXIT_OK)
-
-    def test_anomaly_exit_code(self, pair_config, monkeypatch):
-        import avd.cli as cli_mod
-
-        def boom(curve, branch, mirror, checked):
-            raise DegreeOneAnomaly("forced")
-
-        monkeypatch.setattr(cli_mod, "build_report", boom)
-        assert main(["edge", pair_config]) == EXIT_ANOMALY
 
     @pytest.mark.parametrize("error", [SharedComponent, NotFromEdge])
     def test_classifier_errors_exit_code(self, error, pair_config, monkeypatch, capsys):
@@ -546,6 +546,25 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "build_edge", lambda config: conic)
         assert main(["verify", "--only", "concyclic"]) == 1
         assert capsys.readouterr().out.startswith("concyclic  FAIL")
+
+    def test_node_row_fails_on_a_regular_cubic(self, monkeypatch, capsys):
+        regular = build_edge(CanonicalConfig.from_angle(1.3, 0.7, 0.8, 0.5))
+        monkeypatch.setattr(verify, "build_edge", lambda config: regular)
+        assert main(["verify", "--only", "node"]) == 1
+        assert capsys.readouterr().out.startswith("node  FAIL")
+
+    def test_node_row_evaluates_the_node(self, monkeypatch, capsys):
+        # the constant term 5e-13 off, within the table check, with the
+        # classification kept: only F at (-1, 2) sees that the node is gone
+        curve = build_edge(verify.NODE_CONFIG)
+        cls = classify_edge(curve)
+        table = curve.poly.coeffs.copy()
+        table[0, 0] += 2e-12
+        moved = EdgeCurve(curve.config, BivariatePoly(table), curve.mirror_poly)
+        monkeypatch.setattr(verify, "build_edge", lambda config: moved)
+        monkeypatch.setattr(verify, "classify_edge", lambda curve: cls)
+        assert main(["verify", "--only", "node"]) == 1
+        assert capsys.readouterr().out.startswith("node  FAIL")
 
     def test_degree_search_reaches_degree_two(self, capsys):
         assert main(["verify", "--only", "degree1"]) == EXIT_OK

@@ -1,13 +1,14 @@
 """edge_singularities, the Laplacian-line search that classify_edge uses,
-against find_singularities, the general search by elimination.
+against the search by elimination for any cubic in tests/elimination.py.
 
 The two searches differ in their candidates and in typing; the polish,
-acceptance and merge are shared. edge_singularities tags every point a node
-by the proof (tests/test_classify.py::TestRightAngleNodes), while
-find_singularities types each one from its Hessian, so the comparison is the
-check of that tag. On every cubic that classify_edge searches (degree 3, no
-circle x line split) they must find the same number of points, of the same
-kinds, each within 1e-12 * max(1, |p|) of its partner.
+acceptance and merge do the same arithmetic (tests/test_singular_reference.py).
+edge_singularities tags every point a node by the proof
+(tests/test_classify.py::TestRightAngleNodes), while the elimination search
+types each one from its Hessian, so the comparison is the check of that tag.
+On every cubic that classify_edge searches (degree 3, no circle x line
+split) they must find the same number of points, of the same kinds, each
+within 1e-12 * max(1, |p|) of its partner.
 """
 
 import math
@@ -15,7 +16,6 @@ import math
 import numpy as np
 import pytest
 
-import avd.classify
 from avd import (
     BivariatePoly,
     NotFromEdge,
@@ -24,13 +24,11 @@ from avd import (
     SingularityKind,
     build_edge,
     canonicalize,
-    classify_edge,
     edge_singularities,
     effective_degree,
     factor_circle_line,
-    find_singularities,
-    verify,
 )
+import elimination
 from conftest import FAMILIES, singular_locus_draws
 
 EPSILONS = [10.0**k for k in range(-12, -3)]
@@ -53,13 +51,13 @@ def same_points(want, got) -> bool:
     for p in want:
         q = min(got, key=lambda q: math.dist(p.location, q.location))
         scale = max(1.0, math.hypot(*p.location))
-        if q.kind is not p.kind or math.dist(p.location, q.location) > 1e-12 * scale:
+        if q.kind.value != p.kind.value or math.dist(p.location, q.location) > 1e-12 * scale:
             return False
     return True
 
 
 def agree(f) -> bool:
-    return same_points(find_singularities(f), edge_singularities(f))
+    return same_points(elimination.find_singularities(f), edge_singularities(f))
 
 
 def family_cubics(draws: int = 30, seed: int = 99):
@@ -90,7 +88,7 @@ def test_family_pairs_agree():
     cubics = family_cubics()
     assert all(agree(f) for f in cubics)
     # node, shared-endpoint and singular generic branches are among them
-    assert sum(1 for f in cubics if find_singularities(f)) >= 60
+    assert sum(1 for f in cubics if elimination.find_singularities(f)) >= 60
 
 
 def test_singular_locus_draws_agree():
@@ -110,17 +108,17 @@ def test_moved_shared_endpoint_loses_only_false_isolated_points():
     """With the shared endpoint P moved by eps > 0 no endpoint is shared, so
     every singular point is a right-angle node (TestRightAngleNodes). The
     branch that factored at eps = 0 keeps a local extremum next to P whose
-    value is O(eps^2); for eps up to about 1e-7 it passes find_singularities'
-    rounding acceptance as an isolated point. That point is off the
+    value is O(eps^2); for eps up to about 1e-7 it passes the elimination
+    search's rounding acceptance as an isolated point. That point is off the
     Laplacian line, and edge_singularities does not report it. Every other
     cubic agrees."""
     lost = 0
     for eps, p, config in shared_endpoint_moved(1):
         for f in searched_branches(config):
-            want, got = find_singularities(f), edge_singularities(f)
+            want, got = elimination.find_singularities(f), edge_singularities(f)
             if same_points(want, got):
                 continue
-            assert got == [] and [q.kind for q in want] == [SingularityKind.ISOLATED_POINT]
+            assert got == [] and [q.kind for q in want] == [elimination.Kind.ISOLATED_POINT]
             assert eps <= 1e-7 and math.dist(want[0].location, p) <= 1e-6
             lost += 1
     assert lost > 0
@@ -138,7 +136,7 @@ def test_falls_back_to_f_y_on_the_line():
 
 def test_both_partials_vanish_on_the_line():
     f = BivariatePoly.from_terms({(0, 3): 1.0})
-    for search in (edge_singularities, find_singularities):
+    for search in (edge_singularities, elimination.find_singularities):
         with pytest.raises(SharedComponent):
             search(f)
 
@@ -147,22 +145,3 @@ def test_constant_laplacian_is_not_an_edge():
     # Re(z^3) + y is harmonic: f_xx + f_yy vanishes everywhere
     with pytest.raises(NotFromEdge):
         edge_singularities(BivariatePoly.from_terms({(3, 0): 1.0, (1, 2): -3.0, (0, 1): 1.0}))
-
-
-def test_classify_edge_never_eliminates(monkeypatch):
-    """Nor does it type: its nodes are tagged by the proof."""
-
-    def boom(*args, **kwargs):
-        raise AssertionError("classify_edge reached the resultant search or the typing")
-
-    for name in ("_resultant_y", "classify_singularity"):
-        monkeypatch.setattr(avd.classify, name, boom)
-    with pytest.raises(AssertionError):
-        find_singularities(build_edge(verify.NODE_CONFIG).poly)
-    rng = np.random.default_rng(3)
-    configs = [draw(rng) for draw in FAMILIES.values() for _ in range(10)]
-    configs += [config for config, _ in singular_locus_draws()[:40]]
-    for config in configs:
-        curve = build_edge(config)
-        classify_edge(curve)
-        classify_edge(curve.mirrored())

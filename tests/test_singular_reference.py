@@ -1,11 +1,12 @@
-"""The float polish and acceptance of the singular-point searches against
-two references kept here: a one-candidate-at-a-time loop on
-npoly.polyval2d, and the array search edge_singularities ran before it
-moved to floats (array_edge_singularities with array_polish_and_accept).
+"""The float polish and acceptance of edge_singularities against two
+references: the array search it ran before it moved to floats
+(array_edge_singularities with array_polish_and_accept, kept here), and
+the one-candidate-at-a-time loop on npoly.polyval2d of the elimination
+search in tests/elimination.py.
 
 All take the same Newton steps with the same arithmetic, so the points
-must be equal to the last bit and the kinds the same, and all must raise
-the same error where the partials share a component.
+must be equal to the last bit, and the searches on the line must raise the
+same error where the partials share a component.
 """
 
 import math
@@ -21,79 +22,14 @@ from avd import (
     SingularityKind,
     build_edge,
     edge_singularities,
-    find_singularities,
 )
-from avd.classify import (
-    NotFromEdge,
-    SharedComponent,
-    _polish_and_accept,
-    _resultant_y,
-    _tables,
-    _within_rounding,
-    classify_singularity,
-)
-from avd.poly import derivative, jet, normalize
+from avd.classify import NotFromEdge, SharedComponent, _polish_and_accept, _tables
+from avd.poly import jet, normalize
 from avd.tolerances import MERGE_RADIUS, POLISH_STEPS, ROUNDING_ULPS
+import elimination
 from conftest import FAMILIES, poly_mul, singular_locus_draws
 
 _EPS = float(np.finfo(float).eps)
-
-
-def reference_polish(derivs: np.ndarray, p: Point) -> Point:
-    """Newton on (f_x, f_y) = 0 from p, stopping where the Hessian is
-    singular or a step leaves the floats; derivs stacks f_x, f_y, f_xx,
-    f_xy, f_yy on its last axis."""
-    for _ in range(POLISH_STEPS):
-        gx, gy, hxx, hxy, hyy = (float(v) for v in npoly.polyval2d(p.x, p.y, derivs))
-        det = hxx * hyy - hxy * hxy
-        if det == 0.0:
-            break
-        x = p.x - (gx * hyy - gy * hxy) / det
-        y = p.y - (gy * hxx - gx * hxy) / det
-        if not (math.isfinite(x) and math.isfinite(y)):
-            break
-        p = Point(x, y)
-    return p
-
-
-def reference_vanishes_at(c: np.ndarray, p: Point) -> bool:
-    value = npoly.polyval2d(p.x, p.y, c)
-    magnitude = npoly.polyval2d(abs(p.x), abs(p.y), np.abs(c))
-    return bool(abs(value) <= ROUNDING_ULPS * _EPS * magnitude)
-
-
-def reference_find_singularities(f: BivariatePoly) -> list[SingularPoint]:
-    f = normalize(f)
-    cx, cy = derivative(f.coeffs, 0), derivative(f.coeffs, 1)
-    res = _resultant_y(cx, cy)
-    if _within_rounding(res, _resultant_y(np.abs(cx), np.abs(cy), 1.0)):
-        raise SharedComponent("the resultant of f_x and f_y vanishes identically")
-    candidates = []
-    for x0 in np.unique(npoly.polyroots(res).real):
-        in_y = []
-        for c in (cx, cy):
-            coeffs = npoly.polyval(x0, c)
-            if not _within_rounding(coeffs, npoly.polyval(abs(x0), np.abs(c))):
-                in_y.append(coeffs)
-        if not in_y:
-            raise SharedComponent(f"f_x and f_y both vanish on the line x = {x0}")
-        candidates += [
-            Point(float(x0), float(y0)) for c in in_y for y0 in npoly.polyroots(c).real
-        ]
-    derivs = np.stack(
-        [cx, cy, derivative(cx, 0), derivative(cx, 1), derivative(cy, 1)], axis=-1
-    )
-    found = []
-    for p in candidates:
-        p = reference_polish(derivs, p)
-        if not all(reference_vanishes_at(c, p) for c in (f.coeffs, cx, cy)):
-            continue
-        radius = MERGE_RADIUS * max(1.0, math.hypot(p.x, p.y))
-        if any(math.hypot(p.x - q.x, p.y - q.y) <= radius for q in found):
-            continue
-        found.append(p)
-    found.sort(key=lambda p: (p.x, p.y))
-    return [SingularPoint(p, classify_singularity(f, p)) for p in found]
 
 
 def array_polish_and_accept(j: np.ndarray, x: np.ndarray, y: np.ndarray) -> list[Point]:
@@ -154,9 +90,22 @@ def outcome(search, f):
         return (type(exc), str(exc))
 
 
+def hexes(points):
+    return [(p.x.hex(), p.y.hex()) for p in points]
+
+
 def assert_same(polys):
+    """On the elimination candidates of each cubic, the float polish and the
+    array one accept the same bits, and so does the elimination search's
+    own loop on npoly.polyval2d."""
     for f in polys:
-        assert outcome(find_singularities, f) == outcome(reference_find_singularities, f), f
+        try:
+            candidates = elimination.candidates(f)
+        except SharedComponent:
+            continue
+        xy = np.array(candidates, dtype=float).reshape(-1, 2)
+        got, array = polished(f, xy[:, 0], xy[:, 1])
+        assert got == array == hexes(p.location for p in elimination.find_singularities(f)), f
 
 
 def assert_same_on_the_line(polys):
@@ -164,11 +113,16 @@ def assert_same_on_the_line(polys):
         assert outcome(edge_singularities, f) == outcome(array_edge_singularities, f), f
 
 
-def same_polish(f: BivariatePoly, x: np.ndarray, y: np.ndarray) -> bool:
+def polished(f: BivariatePoly, x: np.ndarray, y: np.ndarray):
+    """The points of the float polish and of the array one, as float.hex."""
     j = jet(normalize(f))
     got = _polish_and_accept(_tables(j), _tables(np.abs(j)), list(zip(x.tolist(), y.tolist())))
-    want = array_polish_and_accept(j, x, y)
-    return [(p.x.hex(), p.y.hex()) for p in got] == [(p.x.hex(), p.y.hex()) for p in want]
+    return hexes(got), hexes(array_polish_and_accept(j, x, y))
+
+
+def same_polish(f: BivariatePoly, x: np.ndarray, y: np.ndarray) -> bool:
+    got, array = polished(f, x, y)
+    return got == array
 
 
 def random_cubics(count: int, seed: int = 7):
@@ -192,14 +146,14 @@ def test_random_cubics():
     cubics = random_cubics(500)
     assert_same(cubics)
     # the sample reaches both singular and smooth cubics
-    assert any(find_singularities(f) for f in cubics[:200])
+    assert any(elimination.find_singularities(f) for f in cubics[:200])
 
 
 def test_nodal_family_with_cusp():
     # a = 0 is the cusp y^2 = x^3: the Hessian is singular at the candidate,
     # so every Newton step there is rejected
     assert_same(nodal_family(a) for a in np.linspace(-3.0, 3.0, 61))
-    assert [p.kind.value for p in find_singularities(nodal_family(0.0))] == ["cusp"]
+    assert [p.kind.value for p in elimination.find_singularities(nodal_family(0.0))] == ["cusp"]
 
 
 def test_hand_built_cubics():
@@ -216,10 +170,8 @@ def test_hand_built_cubics():
     assert_same([far_node, circle, same_abscissa])
     for terms in ({(2, 1): 1.0}, {(1, 2): 1.0}):
         f = BivariatePoly.from_terms(terms)
-        for search in (find_singularities, reference_find_singularities):
-            with pytest.raises(SharedComponent):
-                search(f)
-        assert_same([f])
+        with pytest.raises(SharedComponent):
+            elimination.find_singularities(f)
 
 
 def test_singular_locus_draws():
