@@ -158,9 +158,7 @@ class DegeneracyPredicate:
 # circle x line factorization
 
 
-def factor_circle_line(
-    f: BivariatePoly, tol: float = FACTOR_TOL
-) -> Optional[tuple[Circle, Line]]:
+def factor_circle_line(f: BivariatePoly) -> Optional[tuple[Circle, Line]]:
     """Try to split a cubic into (x^2 + y^2 + a4*y + a5*x + a6)(b1*y + b2*x + b3).
 
     Any such product repeats its y^3 coefficient on x^2*y and its x^3
@@ -168,19 +166,18 @@ def factor_circle_line(
     and the x*y coefficients give a4*b1 - a5*b2 and a4*b2 + a5*b1: (a4, a5)
     rotated and scaled by n = b1^2 + b2^2, so each is a closed form over n,
     and so are b3 and a6 after them. The candidate is accepted only if the
-    product's coefficients below degree three reproduce the table within tol
-    relative to the largest coefficient.
+    product's coefficients below degree three reproduce the table within
+    FACTOR_TOL relative to the largest coefficient.
 
     Absence of a factorization is a normal result (None).
     """
     c = f.coeffs
-    scale = float(np.abs(c).max())
+    floor = FACTOR_TOL * float(np.abs(c).max())
     b1 = float(c[0, 3])
     b2 = float(c[3, 0])
-    if abs(c[2, 1] - b1) > tol * scale or abs(c[1, 2] - b2) > tol * scale:
+    if abs(c[2, 1] - b1) > floor or abs(c[1, 2] - b2) > floor:
         return None
     n = b1 * b1 + b2 * b2
-    floor = tol * scale
     # a product overflows to inf, where ** 2 would raise OverflowError
     if n <= floor * floor:
         return None
@@ -201,7 +198,7 @@ def factor_circle_line(
         (0, 1): a4 * b3 + a6 * b1,
         (0, 0): a6 * b3,
     }
-    if any(abs(v - c[ij]) > tol * scale for ij, v in product.items()):
+    if any(abs(v - c[ij]) > floor for ij, v in product.items()):
         return None
 
     circle = Circle(
@@ -321,24 +318,25 @@ def _polish_and_accept(
 # degree-2 classification
 
 
-def _recover_conic_parameters(f: BivariatePoly, tol: float) -> tuple[float, float, float]:
+def _recover_conic_parameters(f: BivariatePoly) -> tuple[float, float, float]:
     """Read (a, b, scale) back out of a (possibly rescaled) edge conic
     sigma * { -b*y^2 - 2a*x*y + b*x^2 + (a^2+b^2)*y - b }.
 
     Raises:
-        NotFromEdge: the coefficient pattern does not match.
+        NotFromEdge: the coefficient pattern does not match within FACTOR_TOL
+            of the largest coefficient.
     """
     c = f.coeffs
-    scale = float(np.abs(c).max())
+    floor = FACTOR_TOL * float(np.abs(c).max())
     A = float(c[2, 0])   # sigma * b
     B = float(c[1, 1])   # sigma * (-2a)
     C = float(c[0, 2])   # sigma * (-b)
     D = float(c[1, 0])
     E = float(c[0, 1])   # sigma * (a^2 + b^2)
     F = float(c[0, 0])   # sigma * (-b)
-    if abs(D) > tol * scale or abs(C + A) > tol * scale or abs(F + A) > tol * scale:
+    if abs(D) > floor or abs(C + A) > floor or abs(F + A) > floor:
         raise NotFromEdge("quadratic does not match the edge-conic pattern")
-    if abs(E) <= tol * scale:
+    if abs(E) <= floor:
         raise NotFromEdge("edge conic requires a nonzero linear y term")
     sigma = ((0.5 * B) ** 2 + A * A) / E
     if sigma == 0.0:
@@ -346,7 +344,7 @@ def _recover_conic_parameters(f: BivariatePoly, tol: float) -> tuple[float, floa
     return (-0.5 * B / sigma, A / sigma, sigma)
 
 
-def classify_quadratic(f: BivariatePoly, tol: float = FACTOR_TOL) -> EdgeClass:
+def classify_quadratic(f: BivariatePoly) -> EdgeClass:
     """Split the degree-2 edge family into an orthogonal line pair or an
     orthogonal (rectangular) hyperbola.
 
@@ -356,11 +354,13 @@ def classify_quadratic(f: BivariatePoly, tol: float = FACTOR_TOL) -> EdgeClass:
     closed form sigma^3 * b * (a^2+b^2) * (4 - a^2 - b^2) / 4: it vanishes on
     the radius-2 midpoint circle. The split lines of a degenerate conic and
     the asymptotes of the irreducible one both have slope product -1, so
-    orthogonality comes with the family.
+    orthogonality comes with the family. Both splits are decided at
+    FACTOR_TOL: b relative to max(1, |a|), and the determinant relative to
+    the cube of the largest coefficient.
     """
-    a, b, sigma = _recover_conic_parameters(f, tol)
+    a, b, sigma = _recover_conic_parameters(f)
     rr = a * a + b * b
-    if abs(b) <= tol * max(1.0, abs(a)):
+    if abs(b) <= FACTOR_TOL * max(1.0, abs(a)):
         if a == 0.0:
             raise NotFromEdge("conic vanishes for a = b = 0")
         horizontal = Line.normalized(1.0, 0.0, 0.0)
@@ -378,7 +378,7 @@ def classify_quadratic(f: BivariatePoly, tol: float = FACTOR_TOL) -> EdgeClass:
     mu_neg = (a - root) / b
     d1 = _unit(mu_pos, 1.0)
     d2 = _unit(mu_neg, 1.0)
-    if abs(det) <= tol * float(np.abs(f.coeffs).max()) ** 3:
+    if abs(det) <= FACTOR_TOL * float(np.abs(f.coeffs).max()) ** 3:
         lines = (
             Line.normalized(-mu_pos, 1.0, 0.5 * (mu_pos * b - a)),
             Line.normalized(-mu_neg, 1.0, 0.5 * (mu_neg * b - a)),
@@ -400,7 +400,7 @@ def _unit(x: float, y: float) -> tuple[float, float]:
 # full cascade
 
 
-def classify_edge(curve: EdgeCurve, tol: float = FACTOR_TOL) -> EdgeClass:
+def classify_edge(curve: EdgeCurve) -> EdgeClass:
     """Table-style classification of the curve's own labeling branch.
 
     The edge has degree 3 when its cubic terms t = 1 + l*cos(alpha) and
@@ -427,7 +427,7 @@ def classify_edge(curve: EdgeCurve, tol: float = FACTOR_TOL) -> EdgeClass:
     poly = curve.poly
     t, sigma = poly.coefficient(0, 3), poly.coefficient(3, 0)
     if max(abs(t), abs(sigma)) > DEGREE_TOL * (1.0 + curve.config.l):
-        factors = factor_circle_line(poly, tol)
+        factors = factor_circle_line(poly)
         if factors is not None:
             return EdgeClass(EdgeClassTag.CUBIC_CIRCLE_TIMES_LINE, factors=factors)
         sings = edge_singularities(poly)
@@ -436,7 +436,7 @@ def classify_edge(curve: EdgeCurve, tol: float = FACTOR_TOL) -> EdgeClass:
                 EdgeClassTag.CUBIC_IRREDUCIBLE_SINGULAR, singularities=tuple(sings)
             )
         return EdgeClass(EdgeClassTag.CUBIC_IRREDUCIBLE_REGULAR)
-    return classify_quadratic(poly, tol)
+    return classify_quadratic(poly)
 
 
 # ---------------------------------------------------------------------------

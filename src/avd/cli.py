@@ -5,11 +5,13 @@
     avd verify [--only NAME] [--seed N]
 
 Configs are JSON: {"segments": [[[x,y],[x,y]], ...]} with optional "grid"
-and "tolerances" objects; "tolerances" may set only "factor", "angle" and
-"containment", each a finite number > 0, whose defaults are FACTOR_TOL,
-ANGLE_TOL and CONTAINMENT_TOL in avd/tolerances.py. An edge run may instead
-supply {"canonical": {"a":..,"b":..,"l":..,"sin_alpha":..,"cos_alpha":..}},
-the block's only form, so exact rational direction cosines are expressible;
+and "tolerances" objects; "tolerances" may set only "containment", the
+validation bound, a finite number > 0 whose default is CONTAINMENT_TOL in
+avd/tolerances.py. Classification and the equal-angle test use their named
+constants, FACTOR_TOL and ANGLE_TOL, which a scene cannot move. An edge run
+may instead supply
+{"canonical": {"a":..,"b":..,"l":..,"sin_alpha":..,"cos_alpha":..}}, the
+block's only form, so exact rational direction cosines are expressible;
 alpha is derived from them. A diagram scene with a canonical block is
 malformed.
 
@@ -24,7 +26,7 @@ oracle or SVG marches overflow, or a default diagram window that does);
 3 identical segments, to 1e-12 of the pair's diameter (or a canonical block
 whose s2 is s1, or two coincident diagram sites); 4 internal anomaly (a
 cubic whose partials share a component, or a degree-2 edge that misses the
-edge-conic pattern at the scene's "factor" tolerance).
+edge-conic pattern at FACTOR_TOL).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -57,7 +59,7 @@ from .oracle import (
 )
 from .poly import GRLEX_ORDER, normalize
 from .svg import render_diagram, render_edge_scene
-from .tolerances import ANGLE_TOL, CONTAINMENT_TOL, FACTOR_TOL
+from .tolerances import CONTAINMENT_TOL
 from .verify import DEFAULT_SEED, run_all
 
 EXIT_OK = 0
@@ -66,7 +68,7 @@ EXIT_IDENTICAL = 3
 EXIT_ANOMALY = 4
 
 
-TOLERANCE_KEYS = ("factor", "angle", "containment")
+TOLERANCE_KEYS = ("containment",)
 CANONICAL_KEYS = ("a", "b", "l", "sin_alpha", "cos_alpha")
 
 
@@ -76,12 +78,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Parsed input scene: segments plus optional grid/tolerance overrides."""
+    """Parsed input scene: segments plus an optional grid and containment bound."""
 
     segments: tuple[Segment, ...]
     grid: Optional[GridSpec] = None
-    #: float overrides, keyed by names in TOLERANCE_KEYS
-    tolerances: dict = field(default_factory=dict)
+    #: the validation bound, "tolerances": {"containment": ...}
+    containment_tol: float = CONTAINMENT_TOL
     canonical: Optional[CanonicalConfig] = None
 
 
@@ -99,20 +101,21 @@ def _parse_grid(obj) -> GridSpec:
         raise ConfigError(f"bad grid object: {exc}") from exc
 
 
-def _parse_tolerances(obj) -> dict:
+def _parse_containment(obj) -> float:
+    """The containment bound of a "tolerances" object, CONTAINMENT_TOL if unset."""
     if not isinstance(obj, dict):
         raise ConfigError("tolerances must be an object")
-    out = {}
+    containment = CONTAINMENT_TOL
     for key, value in obj.items():
         if key not in TOLERANCE_KEYS:
             raise ConfigError(f"unknown tolerance {key!r}")
         try:
-            out[key] = float(value)
+            containment = float(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad tolerance {key!r}: {exc}") from exc
-        if not (math.isfinite(out[key]) and out[key] > 0):
+        if not (math.isfinite(containment) and containment > 0):
             raise ConfigError(f"tolerance {key!r} must be a finite number > 0")
-    return out
+    return containment
 
 
 def load_scene(path: str) -> SceneConfig:
@@ -125,7 +128,7 @@ def load_scene(path: str) -> SceneConfig:
         raise ConfigError("config root must be a JSON object")
 
     grid = _parse_grid(raw["grid"]) if "grid" in raw else None
-    tolerances = _parse_tolerances(raw.get("tolerances", {}))
+    containment_tol = _parse_containment(raw.get("tolerances", {}))
 
     canonical = None
     if "canonical" in raw:
@@ -154,29 +157,11 @@ def load_scene(path: str) -> SceneConfig:
     ys = [p.y for s in segments for p in s.endpoints]
     if segments and math.isinf(math.hypot(max(xs) - min(xs), max(ys) - min(ys))):
         raise ConfigError("the segments' extent overflows a double")
-    return SceneConfig(tuple(segments), grid, tolerances, canonical)
+    return SceneConfig(tuple(segments), grid, containment_tol, canonical)
 
 
 # ---------------------------------------------------------------------------
 # report
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    """JSON-safe classification record; the compared fields are its JSON keys."""
-
-    canonical: dict
-    normalized_coefficients: dict
-    edge_class: dict
-    mirror_class: dict
-    predicates: list
-    validation: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _coeff_list(poly) -> list:
@@ -220,7 +205,7 @@ def _edge_class_dict(cls: EdgeClass) -> dict:
 
 
 def build_report(curve: EdgeCurve, branch: EdgeClass, mirror: EdgeClass,
-                 checked: ValidationReport) -> ClassificationReport:
+                 checked: ValidationReport) -> dict:
     """The JSON record of an edge: its classes and validation as given."""
     config = curve.config
     predicates = [
@@ -231,17 +216,17 @@ def build_report(curve: EdgeCurve, branch: EdgeClass, mirror: EdgeClass,
         validation = {**checked.to_dict(), "status": "ok"}
     else:
         validation = {"status": "empty", "reason": "neither locus intersects the window"}
-    return ClassificationReport(
-        canonical={k: getattr(config, k) for k in CANONICAL_KEYS},
-        normalized_coefficients={
+    return {
+        "canonical": {k: getattr(config, k) for k in CANONICAL_KEYS},
+        "normalized_coefficients": {
             "branch": _coeff_list(curve.poly),
             "mirror": _coeff_list(curve.mirror_poly),
         },
-        edge_class=_edge_class_dict(branch),
-        mirror_class=_edge_class_dict(mirror),
-        predicates=predicates,
-        validation=validation,
-    )
+        "edge_class": _edge_class_dict(branch),
+        "mirror_class": _edge_class_dict(mirror),
+        "predicates": predicates,
+        "validation": validation,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +249,6 @@ def cmd_edge(args) -> int:
         raise
     except ValueError as exc:  # the canonical s2 or the edge table is out of range
         raise ConfigError(f"edge is out of range: {exc}") from None
-    tol = scene.tolerances.get("factor", FACTOR_TOL)
-    angle_tol = scene.tolerances.get("angle", ANGLE_TOL)
-    containment_tol = scene.tolerances.get("containment", CONTAINMENT_TOL)
     # the canonical window, and the world window the SVG draws
     if scene.grid is None:
         grid = GridSpec.canonical_window(config, 256)
@@ -275,13 +257,13 @@ def cmd_edge(args) -> int:
         grid = scene.grid.mapped(config.to_world.inverse())
         view = scene.grid
 
-    branch = classify_edge(curve, tol)
-    mirror = classify_edge(curve.mirrored(), tol)
+    branch = classify_edge(curve)
+    mirror = classify_edge(curve.mirrored())
     s1, s2 = config.canonical_s1(), config.canonical_s2()
     # canonical coordinates near 1e153 overflow in the marches' products
     try:
         with np.errstate(over="raise"):
-            checked = validate_curve(curve, grid, angle_tol, containment_tol)
+            checked = validate_curve(curve, grid, scene.containment_tol)
             if args.svg:
                 svg = render_edge_scene(
                     view,
@@ -294,7 +276,7 @@ def cmd_edge(args) -> int:
                 )
     except FloatingPointError as exc:
         raise ConfigError(f"edge is out of range: {exc}") from None
-    text = build_report(curve, branch, mirror, checked).to_json()
+    text = json.dumps(build_report(curve, branch, mirror, checked), indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -483,19 +483,19 @@ def _carrier_line_nodes(grid: GridSpec, segments: Sequence[Segment]) -> int:
 def validate_curve(
     curve: EdgeCurve,
     grid: GridSpec,
-    tol: float = ANGLE_TOL,
     containment_tol: float = CONTAINMENT_TOL,
 ) -> ValidationReport:
     """Check the edge polynomial against the brute-force locus on a window.
 
     Everything happens in the canonical frame: grid is a canonical window,
     and the oracle marches the config's canonical segments, which see every
-    point at the angles the world pair sees its image at. tol is the
-    angle-gap tolerance used to decide whether an algebraic-curve sample
-    point is genuinely equal-angle. The samples are the vertices of
-    one march of the branch polynomial, with its crossings solved on its
-    grid-line cubics, as implicit_polylines does; its chains are kept as the
-    report's curve_polylines, so a renderer need not march the branch again.
+    point at the angles the world pair sees its image at. A curve sample
+    counts as genuinely equal-angle when its angle gap is within ANGLE_TOL,
+    and the oracle vertices pass when the branch pair vanishes there within
+    containment_tol. The samples are the vertices of one march of the branch
+    polynomial, with its crossings solved on its grid-line cubics, as
+    implicit_polylines does; its chains are kept as the report's
+    curve_polylines, so a renderer need not march the branch again.
 
     When neither locus meets the window both counts are 0, both notes are
     set, and the report passes vacuously.
@@ -528,7 +528,7 @@ def validate_curve(
         gaps = gap_fn(samples[:, 0], samples[:, 1])
         ok = np.isfinite(gaps)
         if ok.any():
-            realized = float(np.mean(np.abs(gaps[ok]) <= tol))
+            realized = float(np.mean(np.abs(gaps[ok]) <= ANGLE_TOL))
     else:
         notes.append("algebraic curve missed the window")
 
@@ -541,7 +541,7 @@ def validate_curve(
         mirror_only_vertices=mirror_only,
         carrier_line_nodes=_carrier_line_nodes(grid, (s1, s2)),
         containment_tol=containment_tol,
-        angle_tol=tol,
+        angle_tol=ANGLE_TOL,
         passed=containment <= containment_tol,
         notes=tuple(notes),
         curve_polylines=_chain(samples, segments),

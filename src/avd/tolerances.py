@@ -6,7 +6,7 @@ its float stays exactly what it was.
 """
 
 # classification
-#: circle-times-line and edge-conic residual over the largest coefficient (scene "factor")
+#: circle-times-line and edge-conic residual over the largest coefficient
 FACTOR_TOL = 1e-8
 #: a value is zero within this many epsilons of its sum of absolute terms (its rounding bound)
 ROUNDING_ULPS = 64.0
@@ -38,7 +38,7 @@ CROSSING_ULPS = 4.0
 TIE_TOL = 1e-12
 #: distance from a site's carrier line, over max(1, site length), that counts as on it
 CARRIER_LINE_TOL = 1e-9
-#: angle gap within which a curve sample is genuinely equal-angle (scene "angle")
+#: angle gap within which a curve sample is genuinely equal-angle
 ANGLE_TOL = 1e-6
 #: largest normalized polynomial value at an oracle vertex that passes (scene "containment")
 CONTAINMENT_TOL = 1e-5

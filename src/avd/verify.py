@@ -21,7 +21,6 @@ from .classify import (
     _tables,
     _within_rounding,
     classify_edge,
-    factor_circle_line,
 )
 from .edge import build_edge, leading_coefficients
 from .geometry import CanonicalConfig, Point, Segment, canonicalize
@@ -159,13 +158,6 @@ def line_distance(got: Line, want: Line) -> float:
     return min(d_plus, d_minus) / max(1.0, abs(want.w))
 
 
-def factor_residual(curve_poly: BivariatePoly, want: tuple[Circle, Line]) -> float:
-    got = factor_circle_line(curve_poly)
-    if got is None:
-        return math.inf
-    return max(circle_distance(got[0], want[0]), line_distance(got[1], want[1]))
-
-
 # ---------------------------------------------------------------------------
 # scenarios
 
@@ -211,11 +203,12 @@ def _closed_form_scenario(
     worst = 0.0
     for _ in range(50):
         params = draw(rng)
-        curve = build_edge(config(*params))
-        if classify_edge(curve).tag is not EdgeClassTag.CUBIC_CIRCLE_TIMES_LINE:
+        cls = classify_edge(build_edge(config(*params)))
+        if cls.tag is not EdgeClassTag.CUBIC_CIRCLE_TIMES_LINE:
             worst = math.inf
             continue
-        worst = max(worst, factor_residual(curve.poly, factors(*params)))
+        (circle, line), (want_circle, want_line) = cls.factors, factors(*params)
+        worst = max(worst, circle_distance(circle, want_circle), line_distance(line, want_line))
     return ScenarioResult(
         name,
         "circle x line factors matching the closed form (<= 1e-8)",

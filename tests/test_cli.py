@@ -30,7 +30,7 @@ from avd.cli import (
     main,
 )
 from avd.svg import CURVE_COLOR
-from avd.tolerances import ANGLE_TOL, CONTAINMENT_TOL, FACTOR_TOL
+from avd.tolerances import ANGLE_TOL, CONTAINMENT_TOL
 from conftest import NODE_PAIR, random_config, similarity
 
 
@@ -64,14 +64,11 @@ def canonical_config_file(tmp_path):
 
 class TestSceneTolerances:
     @pytest.mark.parametrize(
-        "block, factor, angle, containment",
-        [
-            (None, FACTOR_TOL, ANGLE_TOL, CONTAINMENT_TOL),
-            ({"factor": 1e-6, "angle": 1e-3, "containment": 1e-4}, 1e-6, 1e-3, 1e-4),
-        ],
+        "block, containment",
+        [(None, CONTAINMENT_TOL), ({"containment": 1e-4}, 1e-4)],
     )
     def test_scene_tolerances_reach_the_checks(
-        self, block, factor, angle, containment, tmp_path, monkeypatch, capsys
+        self, block, containment, tmp_path, monkeypatch, capsys
     ):
         import avd.cli as cli_mod
 
@@ -81,28 +78,17 @@ class TestSceneTolerances:
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(scene))
         seen = []
-        classify, validate = cli_mod.classify_edge, cli_mod.validate_curve
+        validate = cli_mod.validate_curve
 
-        def classify_spy(curve, tol):
-            seen.append(("factor", tol))
-            return classify(curve, tol)
+        def validate_spy(curve, grid, containment_tol):
+            seen.append(containment_tol)
+            return validate(curve, grid, containment_tol)
 
-        def validate_spy(curve, grid, tol, containment_tol):
-            seen.append(("angle", tol))
-            seen.append(("containment", containment_tol))
-            return validate(curve, grid, tol, containment_tol)
-
-        monkeypatch.setattr(cli_mod, "classify_edge", classify_spy)
         monkeypatch.setattr(cli_mod, "validate_curve", validate_spy)
         assert main(["edge", str(path)]) == EXIT_OK
-        assert seen == [
-            ("factor", factor),
-            ("factor", factor),
-            ("angle", angle),
-            ("containment", containment),
-        ]
+        assert seen == [containment]
         validation = json.loads(capsys.readouterr().out)["validation"]
-        assert (validation["angle_tol"], validation["containment_tol"]) == (angle, containment)
+        assert (validation["angle_tol"], validation["containment_tol"]) == (ANGLE_TOL, containment)
 
 
 class TestSceneLoading:
@@ -123,24 +109,27 @@ class TestSceneLoading:
 
     def test_tolerances_parsed_to_floats(self, tmp_path):
         path = tmp_path / "tol.json"
-        path.write_text(json.dumps({"segments": [[[-1, 0], [1, 0]], [[0, 1], [2, 1]]],
-                                    "tolerances": {"factor": 1, "angle": "1e-3"}}))
-        tolerances = load_scene(str(path)).tolerances
-        assert tolerances == {"factor": 1.0, "angle": 1e-3}
-        assert all(type(v) is float for v in tolerances.values())
+        for value, want in ((1, 1.0), ("1e-3", 1e-3)):
+            path.write_text(json.dumps({"segments": [[[-1, 0], [1, 0]], [[0, 1], [2, 1]]],
+                                        "tolerances": {"containment": value}}))
+            containment_tol = load_scene(str(path)).containment_tol
+            assert containment_tol == want and type(containment_tol) is float
 
     @pytest.mark.parametrize(
         "block",
         [
-            {"factor": "abc"},
+            {"containment": "abc"},
             {"containment": "nan"},
-            {"angle": "inf"},
-            {"factor": 0},
+            {"containment": "inf"},
+            {"containment": 0},
             {"containment": -1e-5},
-            {"angle": None},
-            {"factor": [1e-8]},
+            {"containment": None},
+            {"containment": [1e-5]},
             {"residual": 1e-8},
             [1e-8],
+            # classification and the equal-angle test use fixed thresholds
+            {"factor": 1e-8},
+            {"angle": 1e-6},
         ],
     )
     def test_rejects_bad_tolerances(self, block, tmp_path, capsys):
@@ -150,7 +139,7 @@ class TestSceneLoading:
         assert main(["edge", str(path)]) == EXIT_BAD_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "block",
@@ -307,17 +296,17 @@ class TestEdgeCommand:
     def test_classifier_errors_exit_code(self, error, pair_config, monkeypatch, capsys):
         import avd.cli as cli_mod
 
-        def boom(curve, tol):
+        def boom(curve):
             raise error("forced")
 
         monkeypatch.setattr(cli_mod, "classify_edge", boom)
         assert main(["edge", pair_config]) == EXIT_ANOMALY
         assert capsys.readouterr().err == "error: forced\n"
 
-    @pytest.mark.parametrize("factor, code", [(1e-16, EXIT_ANOMALY), (1e-15, EXIT_OK)])
-    def test_edge_conic_mismatch_exit_code(self, factor, code, tmp_path, capsys):
+    def test_far_antiparallel_pair_is_a_hyperbola(self, tmp_path, capsys):
         # a congruent antiparallel pair far from the origin: its degree-2
-        # edge misses the edge-conic pattern by rounding at factor 1e-16
+        # edge matches the edge-conic pattern only to rounding, well within
+        # FACTOR_TOL
         path = tmp_path / "conic.json"
         path.write_text(json.dumps({
             "segments": [
@@ -326,11 +315,14 @@ class TestEdgeCommand:
                 [[5.010896254598704, -85.19648414976783],
                  [8.20884108967051, -92.85799350273962]],
             ],
-            "tolerances": {"factor": factor},
         }))
-        assert main(["edge", str(path), "--out", str(tmp_path / "r.json")]) == code
-        want = "error: quadratic does not match the edge-conic pattern\n"
-        assert capsys.readouterr().err == (want if code == EXIT_ANOMALY else "")
+        out = tmp_path / "r.json"
+        assert main(["edge", str(path), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["edge_class"]["tag"] == "quad_irreducible_hyperbola"
+        assert report["mirror_class"]["tag"] == "cubic_irreducible_regular"
+        assert report["validation"]["passed"] is True
 
     def test_svg_deterministic(self, canonical_config_file, tmp_path, capsys):
         a = tmp_path / "a.svg"
@@ -587,8 +579,8 @@ class TestReportRoundTrip:
         curve = build_edge(node_config)
         report = build_report(
             curve,
-            classify_edge(curve, 1e-8),
-            classify_edge(curve.mirrored(), 1e-8),
-            validate_curve(curve, GridSpec(-4, 4, -4, 4, 96, 96), 1e-6, 1e-5),
+            classify_edge(curve),
+            classify_edge(curve.mirrored()),
+            validate_curve(curve, GridSpec(-4, 4, -4, 4, 96, 96), 1e-5),
         )
-        assert json.loads(report.to_json()) == report.to_dict()
+        assert json.loads(json.dumps(report, indent=2, sort_keys=True)) == report
