@@ -471,15 +471,28 @@ def _circumcircle(p1: Point, p2: Point, p3: Point) -> tuple[float, float, float]
     return (ux, uy, math.hypot(p1.x - ux, p1.y - uy))
 
 
-def _line_intersection(p: Point, q: Point, r: Point, s: Point) -> Point | None:
-    """Intersection of line(p, q) with line(r, s)."""
-    d1 = (q.x - p.x, q.y - p.y)
-    d2 = (s.x - r.x, s.y - r.y)
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    if den == 0.0:
-        return None
-    t = ((r.x - p.x) * d2[1] - (r.y - p.y) * d2[0]) / den
-    return Point(p.x + t * d1[0], p.y + t * d1[1])
+def _orthogonal_cross(pts: list[Point], tol: float) -> dict[str, float] | None:
+    """Witness of the first cross pairing, line(A, C) through one endpoint of
+    each segment against line(B, D) through the other two, whose lines meet
+    at a right angle (within PREDICATE_TOL) at a point O with AO = CO or
+    BO = DO, but not both, each within tol."""
+    for order in ((0, 2, 1, 3), (0, 3, 1, 2)):
+        (ax, ay), (cx, cy), (bx, by), (dx, dy) = (pts[i] for i in order)
+        if (ax, ay) == (cx, cy) or (bx, by) == (dx, dy):
+            continue
+        acx, acy, bdx, bdy = cx - ax, cy - ay, dx - bx, dy - by
+        dac, dbd = _unit(acx, acy), _unit(bdx, bdy)
+        den = acx * bdy - acy * bdx
+        if abs(dac[0] * dbd[0] + dac[1] * dbd[1]) > PREDICATE_TOL or den == 0.0:
+            continue
+        t = ((bx - ax) * bdy - (by - ay) * bdx) / den
+        ox, oy = ax + t * acx, ay + t * acy
+        ao, co, bo, do = (math.hypot(pts[i].x - ox, pts[i].y - oy) for i in order)
+        for eq1, eq2, arm1, arm2 in ((ao, co, bo, do), (bo, do, ao, co)):
+            if abs(eq1 - eq2) <= tol and abs(arm1 - arm2) > tol:
+                return {"cross_x": ox, "cross_y": oy, "equal_arm": eq1,
+                        "unequal_arm_1": arm1, "unequal_arm_2": arm2}
+    return None
 
 
 def detect_geometric_degeneracy(s1: Segment, s2: Segment) -> list[DegeneracyPredicate]:
@@ -493,107 +506,55 @@ def detect_geometric_degeneracy(s1: Segment, s2: Segment) -> list[DegeneracyPred
     of coordinates overflows; the witnesses are scaled back by 2^k.
     """
     pts = [*s1.endpoints, *s2.endpoints]
-    diameter = max(math.hypot(p.x - q.x, p.y - q.y) for p in pts for q in pts)
-    k = math.frexp(diameter)[1] - 1
-    pts = [Point(math.ldexp(p.x, -k), math.ldexp(p.y, -k)) for p in pts]
-    s1, s2 = Segment(*pts[:2]), Segment(*pts[2:])
-    unit = math.ldexp(diameter, -k)
-    dist_tol = PREDICATE_TOL * unit
-    out: list[DegeneracyPredicate] = []
-    # endpoint distances: 0, 1 are s1's endpoints and 2, 3 are s2's
+    # endpoint distances: 0, 1 are s1's endpoints and 2, 3 are s2's; hypot
+    # commutes with the scaling, so the scaled table is the scaled points'
     dist = [[math.hypot(p.x - q.x, p.y - q.y) for q in pts] for p in pts]
+    k = math.frexp(max(map(max, dist)))[1] - 1
+    pts = [Point(math.ldexp(p.x, -k), math.ldexp(p.y, -k)) for p in pts]
+    dist = [[math.ldexp(d, -k) for d in row] for row in dist]
+    unit = max(map(max, dist))
+    dist_tol = PREDICATE_TOL * unit
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
 
     len1, len2 = dist[1][0], dist[3][2]
     equal_len = abs(len1 - len2) <= dist_tol
-    d1 = _unit(s1.e1.x - s1.e0.x, s1.e1.y - s1.e0.y)
-    d2 = _unit(s2.e1.x - s2.e0.x, s2.e1.y - s2.e0.y)
+    ux, uy = x1 - x0, y1 - y0
+    d1, d2 = _unit(ux, uy), _unit(x3 - x2, y3 - y2)
+    out: list[tuple[PredicateTag, dict[str, float]]] = []
 
     if equal_len and abs(_concyclicity(pts)) <= 100.0 * PREDICATE_TOL:
-        witness: dict[str, float] = {"length": len1}
-        for triple in ((0, 1, 2), (0, 1, 3), (0, 2, 3)):
-            circ = _circumcircle(*(pts[i] for i in triple))
-            if circ is not None:
-                witness.update(
-                    {"center_x": circ[0], "center_y": circ[1], "radius": circ[2]}
-                )
-                break
-        out.append(DegeneracyPredicate(PredicateTag.CONCYCLIC_EQUAL_LENGTH, witness))
+        triples = ((0, 1, 2), (0, 1, 3), (0, 2, 3))
+        circles = (_circumcircle(*(pts[i] for i in t)) for t in triples)
+        circle = next(filter(None, circles), ())
+        witness = dict(zip(("length", "center_x", "center_y", "radius"), (len1, *circle)))
+        out.append((PredicateTag.CONCYCLIC_EQUAL_LENGTH, witness))
 
-    # Cross pairings: line through one endpoint of each segment, versus the
-    # line through the remaining pair.
-    for (ia, ic), (ib, id_) in (((0, 2), (1, 3)), ((0, 3), (1, 2))):
-        A, C = pts[ia], pts[ic]
-        B, D = pts[ib], pts[id_]
-        if (A.x, A.y) == (C.x, C.y) or (B.x, B.y) == (D.x, D.y):
-            continue
-        dac = _unit(C.x - A.x, C.y - A.y)
-        dbd = _unit(D.x - B.x, D.y - B.y)
-        if abs(dac[0] * dbd[0] + dac[1] * dbd[1]) > PREDICATE_TOL:
-            continue
-        o = _line_intersection(A, C, B, D)
-        if o is None:
-            continue
-        ao = math.hypot(A.x - o.x, A.y - o.y)
-        co = math.hypot(C.x - o.x, C.y - o.y)
-        bo = math.hypot(B.x - o.x, B.y - o.y)
-        do = math.hypot(D.x - o.x, D.y - o.y)
-        for (u_len, v_len, w_len, z_len) in ((ao, co, bo, do), (bo, do, ao, co)):
-            if abs(u_len - v_len) <= dist_tol and abs(w_len - z_len) > dist_tol:
-                out.append(
-                    DegeneracyPredicate(
-                        PredicateTag.ORTHOGONAL_CROSS_EQUAL_HALF,
-                        {
-                            "cross_x": o.x,
-                            "cross_y": o.y,
-                            "equal_arm": u_len,
-                            "unequal_arm_1": w_len,
-                            "unequal_arm_2": z_len,
-                        },
-                    )
-                )
-                break
-        else:
-            continue
-        break
+    cross = _orthogonal_cross(pts, dist_tol)
+    if cross is not None:
+        out.append((PredicateTag.ORTHOGONAL_CROSS_EQUAL_HALF, cross))
 
-    def _orient(p: Point, q: Point, r: Point) -> float:
-        return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-
-    collinear = all(
-        abs(_orient(s1.e0, s1.e1, q)) <= dist_tol * unit for q in s2.endpoints
-    )
-    if collinear and not equal_len:
-        out.append(
-            DegeneracyPredicate(
-                PredicateTag.COLLINEAR_UNEQUAL_LENGTH,
-                {"length_1": len1, "length_2": len2},
-            )
-        )
+    # s2's endpoints on s1's line: their cross products with s1's direction
+    on_line = (abs(ux * (y - y0) - uy * (x - x0)) <= dist_tol * unit for x, y in pts[2:])
+    if not equal_len and all(on_line):
+        witness = {"length_1": len1, "length_2": len2}
+        out.append((PredicateTag.COLLINEAR_UNEQUAL_LENGTH, witness))
 
     # the first endpoint of s1 within dist_tol of one of s2's
     shared = next((pts[i] for i in (0, 1) for j in (2, 3) if dist[i][j] <= dist_tol), None)
     if shared is not None:
-        witness = {"x": shared.x, "y": shared.y}
-        out.append(DegeneracyPredicate(PredicateTag.SHARED_ENDPOINT, witness))
+        out.append((PredicateTag.SHARED_ENDPOINT, {"x": shared.x, "y": shared.y}))
 
     if equal_len and abs(d1[0] * d2[1] - d1[1] * d2[0]) <= PREDICATE_TOL:
-        m1, m2 = s1.midpoint, s2.midpoint
-        out.append(
-            DegeneracyPredicate(
-                PredicateTag.CONGRUENT_PARALLEL,
-                {
-                    "length": len1,
-                    "midpoint_offset_x": m2.x - m1.x,
-                    "midpoint_offset_y": m2.y - m1.y,
-                },
-            )
-        )
+        m1 = Point(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+        m2 = Point(0.5 * (x2 + x3), 0.5 * (y2 + y3))
+        offset = {"midpoint_offset_x": m2.x - m1.x, "midpoint_offset_y": m2.y - m1.y}
+        out.append((PredicateTag.CONGRUENT_PARALLEL, {"length": len1, **offset}))
 
     # s1's endpoints on s2's, forward (0-2, 1-3) or reversed (0-3, 1-2)
     if any(dist[0][j] <= dist_tol and dist[1][5 - j] <= dist_tol for j in (2, 3)):
-        out.append(DegeneracyPredicate(PredicateTag.COLLOCATED))
+        out.append((PredicateTag.COLLOCATED, {}))
 
     return [
-        DegeneracyPredicate(p.tag, {key: math.ldexp(v, k) for key, v in p.witness.items()})
-        for p in out
+        DegeneracyPredicate(tag, {key: math.ldexp(v, k) for key, v in witness.items()})
+        for tag, witness in out
     ]

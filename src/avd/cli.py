@@ -21,8 +21,9 @@ in the world frame; a config "grid" is a world window (validation runs over
 the bounding box of its preimage). Exit codes: 2 malformed config, or a
 scene out of range for doubles (segments whose extent overflows, a
 canonical s2 whose endpoints round together, a pair whose s2 rounds to a
-point in the canonical frame, an edge table that overflows, an edge whose
-oracle or SVG marches overflow, or a default diagram window that does);
+point in the canonical frame, an edge table that overflows, an edge window
+(default or scene grid) whose image in the other frame overflows, an edge
+whose oracle or SVG marches overflow, or a default diagram window that does);
 3 identical segments, to 1e-12 of the pair's diameter (or a canonical block
 whose s2 is s1, or two coincident diagram sites); 4 internal anomaly (a
 cubic whose partials share a component, or a degree-2 edge that misses the
@@ -243,19 +244,19 @@ def cmd_edge(args) -> int:
     try:
         config = scene.canonical or canonicalize(*scene.segments)
         curve = build_edge(config)
+        # the canonical window, and the world window the SVG draws
+        if scene.grid is None:
+            grid = GridSpec.canonical_window(config, 256)
+            view = grid.mapped(config.to_world)
+        else:
+            grid = scene.grid.mapped(config.to_world.inverse())
+            view = scene.grid
     except ZeroPolynomial as exc:  # a canonical block whose s2 is s1
         raise IdenticalSegments(str(exc)) from None
     except IdenticalSegments:
         raise
-    except ValueError as exc:  # the canonical s2 or the edge table is out of range
+    except ValueError as exc:  # the canonical s2, the edge table or a window overflows
         raise ConfigError(f"edge is out of range: {exc}") from None
-    # the canonical window, and the world window the SVG draws
-    if scene.grid is None:
-        grid = GridSpec.canonical_window(config, 256)
-        view = grid.mapped(config.to_world)
-    else:
-        grid = scene.grid.mapped(config.to_world.inverse())
-        view = scene.grid
 
     branch = classify_edge(curve)
     mirror = classify_edge(curve.mirrored())

@@ -60,15 +60,9 @@ class _Mapper:
         )
 
     def path(self, points: np.ndarray) -> str:
-        # the mapping of __call__ as two array expressions: the same IEEE
-        # operations, so the same strings
         pts = np.asarray(points, dtype=float)
-        x, y = self.to_world.apply(pts[:, 0], pts[:, 1])
-        xs = ((x - self.grid.x_min) * self.sx).tolist()
-        ys = ((self.grid.y_max - y) * self.sy).tolist()
-        return "M " + " L ".join(
-            f"{format(x, '.6g')} {format(y, '.6g')}" for x, y in zip(xs, ys)
-        )
+        xs, ys = self(pts[:, 0], pts[:, 1])
+        return "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in zip(xs, ys))
 
 
 def _header(m: _Mapper) -> list[str]:

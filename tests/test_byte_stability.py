@@ -26,19 +26,25 @@ writing -0.0: the mirror branch's line x = 1 now reports "u": 0.0 (was
 -0.0), the only changed byte. Its report digest went from 7f7d0c09... to
 45ff69d7...; the SVG, generic and diagram digests did not change. The
 polynomial marches' crossings moved from bisection to Newton steps on the
-grid-line cubic at the same time, and no digest here moved with them. A change that alters a report, an SVG or a diagram label by
-a single byte fails here.
+grid-line cubic at the same time, and no digest here moved with them.
+The predicate digest pins the tags and the witness bits of
+detect_geometric_degeneracy over a fixed draw set; it was recorded before
+the predicates were rewritten around one endpoint distance table. A change
+that alters a report, an SVG, a diagram label or a predicate witness by a
+single byte fails here.
 """
 
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
-from avd import GridSpec, Segment, rasterize_diagram
+from avd import GridSpec, Segment, detect_geometric_degeneracy, rasterize_diagram
 from avd.cli import EXIT_OK, main
 from avd.svg import render_diagram
-from conftest import NODE_PAIR
+from conftest import FAMILIES, NODE_PAIR, random_segment
 
 GENERIC_PAIR = [[[-1.3, 0.4], [0.9, 1.7]], [[0.2, -1.1], [2.4, 0.3]]]
 
@@ -51,6 +57,7 @@ EDGE_DIGESTS = {
 LABELS_DIGEST = "c1860674c9fc569200d47027cb34a9decc84241fad58dd8843f71012c38a01f2"
 DIAGRAM_SVG_DIGEST = "ef799a9f6406e253f489728e3d15e5bec63ad13152407f8c2ae71b24adb845df"
 DIAGRAM_SUMMARY_DIGEST = "fea53be20bdd13cab67719c2d6f3eabace2036d61e2a611dbf530227a24cd986"
+PREDICATES_DIGEST = "65374e9765addacd42ce674323ab32fa2cd864c8afa4c5983043f401c04906e3"
 
 
 def _sha(data: bytes) -> str:
@@ -95,3 +102,39 @@ def test_diagram_summary_bytes(tmp_path, capsys):
     del summary["svg"]
     text = json.dumps(summary, indent=2, sort_keys=True)
     assert _sha(text.encode()) == DIAGRAM_SUMMARY_DIGEST
+
+
+def _scaled(s: Segment, k: int) -> Segment:
+    return Segment.of(*((math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in s.endpoints))
+
+
+def _predicate_pairs():
+    """200 world-frame draws of each family, each also with s2's last
+    endpoint moved along x by 1e-10, 1e-9 and 2e-9 times the pair's
+    diameter (across PREDICATE_TOL), and each of those scaled by 2^500 and
+    2^-500; then 500 random pairs."""
+    rng = np.random.default_rng(20)
+    for family in sorted(FAMILIES):
+        for _ in range(200):
+            config = FAMILIES[family](rng)
+            s1, s2 = config.world_s1(), config.world_s2()
+            pts = (*s1.endpoints, *s2.endpoints)
+            diameter = max(math.dist(p, q) for p in pts for q in pts)
+            e0, (x, y) = s2.endpoints
+            for eps in (0.0, 1e-10, 1e-9, 2e-9):
+                moved = Segment.of(tuple(e0), (x + eps * diameter, y))
+                for k in (0, 500, -500):
+                    yield _scaled(s1, k), _scaled(moved, k)
+    for _ in range(500):
+        yield random_segment(rng), random_segment(rng)
+
+
+def test_predicate_witness_bits():
+    lines = []
+    for s1, s2 in _predicate_pairs():
+        preds = detect_geometric_degeneracy(s1, s2)
+        lines.append(";".join(
+            p.tag.value + "".join(f" {key}={v.hex()}" for key, v in p.witness.items())
+            for p in preds
+        ))
+    assert _sha("\n".join(lines).encode()) == PREDICATES_DIGEST

@@ -690,3 +690,20 @@ class TestDetectGeometricDegeneracy:
                 assert [p.tag for p in got] == [p.tag for p in want]
                 for p, q in zip(got, want):
                     assert p.witness == {key: math.ldexp(v, k) for key, v in q.witness.items()}
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_swapping_the_segments(self, family):
+        # anchors: swapping s1 and s2 keeps the set of predicate tags and the
+        # branch and mirror class tags, in some order. Seeded draws, not
+        # hypothesis: the node family's classification sits on a knife edge.
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            config = FAMILIES[family](rng)
+            pair = (config.world_s1(), config.world_s2())
+            seen = []
+            for s1, s2 in (pair, pair[::-1]):
+                curve = build_edge(canonicalize(s1, s2))
+                branches = (curve, curve.mirrored())
+                classes = sorted(classify_edge(c).tag.value for c in branches)
+                seen.append(({p.tag for p in detect_geometric_degeneracy(s1, s2)}, classes))
+            assert seen[0] == seen[1]

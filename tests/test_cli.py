@@ -284,6 +284,14 @@ class TestEdgeCommand:
         # an edge table in range whose oracle and SVG marches overflow
         *(({"canonical": {"a": s, "b": 0, "l": s, "sin_alpha": 0.6, "cos_alpha": 0.8}},
            EXIT_BAD_CONFIG) for s in (1e153, 1e154)),
+        # a finite extent whose default SVG window reaches past the largest double
+        ({"segments": [[[-5e307, 0], [5e307, 0]], [[0, 1e306], [1e306, 1e306]]]},
+         EXIT_BAD_CONFIG),
+        # a scene grid whose canonical preimage overflows
+        ({"segments": [[[0, 0], [1e-300, 0]], [[0, 1e-300], [1e-300, 1e-300]]],
+          "grid": {"xmin": -1e10, "xmax": 1e10, "ymin": -1e10, "ymax": 1e10,
+                   "nx": 8, "ny": 8}},
+         EXIT_BAD_CONFIG),
     ])
     def test_edge_exit_codes_at_the_range_limits(self, scene, code, tmp_path, capsys):
         path = tmp_path / "scene.json"
