@@ -10,9 +10,8 @@ a node can be. Run:
     python demos/03_singularity_zoo.py
 """
 
-from numpy.polynomial import polynomial as npoly
-
-from avd import BivariatePoly, build_edge, classify_edge, gradient, jet
+from avd import BivariatePoly, build_edge, classify_edge, jet
+from avd.poly import horner2
 from avd.verify import NODE_CONFIG
 
 
@@ -20,14 +19,15 @@ def family(a: float) -> BivariatePoly:
     return BivariatePoly.from_terms({(0, 2): 1.0, (3, 0): -1.0, (2, 0): -a})
 
 
-def hessian(f: BivariatePoly, x: float, y: float) -> tuple[float, float, float]:
-    fxx, fxy, fyy = npoly.polyval2d(x, y, jet(f)[..., 3:])
-    return float(fxx), float(fxy), float(fyy)
+def partials(f: BivariatePoly, x: float, y: float) -> list[float]:
+    """f_x, f_y, f_xx, f_xy and f_yy at (x, y), from the jet's tables."""
+    j = jet(f)
+    return [horner2(j[..., k].tolist(), x, y) for k in range(1, 6)]
 
 
 print("y^2 - x^2 (x + a): singular point at the origin, typed by a")
 for a in (1.0, -1.0, 0.0, 0.3, -2.5):
-    fxx, fxy, fyy = hessian(family(a), 0.0, 0.0)
+    _, _, fxx, fxy, fyy = partials(family(a), 0.0, 0.0)
     disc = fxy * fxy - fxx * fyy
     kind = "node" if disc > 0.0 else "isolated_point" if disc < 0.0 else "cusp"
     print(f"  a = {a:+.1f}: Hessian discriminant {disc:+.2f} -> {kind}")
@@ -36,8 +36,7 @@ print("\nFull edge-curve example (direction cosines 3/5, -4/5):")
 curve = build_edge(NODE_CONFIG)
 for sp in classify_edge(curve).singularities:
     p = sp.location
-    gx, gy = gradient(curve.poly, p)
-    fxx, fxy, fyy = hessian(curve.poly, p.x, p.y)
+    gx, gy, fxx, fxy, fyy = partials(curve.poly, p.x, p.y)
     ratio = (fxy * fxy - fxx * fyy) / (fxx * fxx + 2.0 * fxy * fxy + fyy * fyy)
     print(f"  {sp.kind.value} at ({p.x:+.12f}, {p.y:+.12f}), "
           f"|gradient| = {max(abs(gx), abs(gy)):.2e}")

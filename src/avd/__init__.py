@@ -21,8 +21,6 @@ from .geometry import (
 from .poly import (
     BivariatePoly,
     ZeroPolynomial,
-    effective_degree,
-    gradient,
     jet,
     normalize,
 )
@@ -93,10 +91,8 @@ __all__ = [
     "classify_quadratic",
     "detect_geometric_degeneracy",
     "edge_singularities",
-    "effective_degree",
     "extract_bisector",
     "factor_circle_line",
-    "gradient",
     "implicit_polylines",
     "jet",
     "leading_coefficients",

@@ -22,7 +22,6 @@ from .edge import EdgeCurve
 from .geometry import Point, Segment
 from .poly import BivariatePoly, horner2, jet, normalize
 from .tolerances import (
-    DEGREE_TOL,
     FACTOR_TOL,
     MERGE_RADIUS,
     POLISH_STEPS,
@@ -123,6 +122,8 @@ class EdgeClassTag(enum.Enum):
     CUBIC_CIRCLE_TIMES_LINE = "cubic_circle_times_line"
     QUAD_IRREDUCIBLE_HYPERBOLA = "quad_irreducible_hyperbola"
     QUAD_TWO_ORTHOGONAL_LINES = "quad_two_orthogonal_lines"
+    # no classification path produces it; it stays only because
+    # bench/test_bench.py names it, until ROADMAP item 1's benchmark change
     UNREALIZABLE = "unrealizable"
 
 
@@ -403,30 +404,20 @@ def _unit(x: float, y: float) -> tuple[float, float]:
 def classify_edge(curve: EdgeCurve) -> EdgeClass:
     """Table-style classification of the curve's own labeling branch.
 
-    The edge has degree 3 when its cubic terms t = 1 + l*cos(alpha) and
-    sigma = -l*sin(alpha) (edge.leading_coefficients, which build_edge
-    writes into the table's y^3 and x^3 entries) rise above DEGREE_TOL
-    times 1 + l, their size before cancellation. The configuration decides
-    it, not the table's other coefficients: a pair far apart has degree-2
-    terms about l^2 and cubic ones about l, which a cutoff relative to the
-    largest coefficient would drop.
-
-    Degree 3: try the circle-times-line split; otherwise the cubic is
-    irreducible, and it is singular exactly when edge_singularities, which
-    intersects the cubic's Laplacian line f_xx + f_yy = 0 with the conic
-    f_x = 0 and accepts points where f, f_x and f_y vanish to rounding, finds
-    a point anywhere in the plane. Otherwise the quadratic dichotomy: the
-    quadratic part b*x^2 - 2a*xy - b*y^2 of the edge conic vanishes only for
-    a = b = 0, where s2 is s1, so a valid pair has no edge of lower degree,
-    and a table without the conic pattern is not from an edge.
+    Degree 3 (EdgeCurve.degree, read from the configuration): try the
+    circle-times-line split; otherwise the cubic is irreducible, and it is
+    singular exactly when edge_singularities, which intersects the cubic's
+    Laplacian line f_xx + f_yy = 0 with the conic f_x = 0 and accepts points
+    where f, f_x and f_y vanish to rounding, finds a point anywhere in the
+    plane. Otherwise the quadratic dichotomy; a table without the edge-conic
+    pattern is not from an edge.
 
     Raises:
         SharedComponent: an unfactored cubic whose partials share a curve.
         NotFromEdge: no cubic terms, and no edge-conic pattern.
     """
     poly = curve.poly
-    t, sigma = poly.coefficient(0, 3), poly.coefficient(3, 0)
-    if max(abs(t), abs(sigma)) > DEGREE_TOL * (1.0 + curve.config.l):
+    if curve.degree == 3:
         factors = factor_circle_line(poly)
         if factors is not None:
             return EdgeClass(EdgeClassTag.CUBIC_CIRCLE_TIMES_LINE, factors=factors)
@@ -504,6 +495,10 @@ def detect_geometric_degeneracy(s1: Segment, s2: Segment) -> list[DegeneracyPred
     which brings its diameter into [1, 2). That scaling is exact, so each
     comparison is the one at the pair's own scale, and no square or product
     of coordinates overflows; the witnesses are scaled back by 2^k.
+
+    Raises:
+        ValueError: a segment's endpoints coincide once the pair is scaled,
+            because its length underflows against the pair's diameter.
     """
     pts = [*s1.endpoints, *s2.endpoints]
     # endpoint distances: 0, 1 are s1's endpoints and 2, 3 are s2's; hypot
@@ -518,8 +513,12 @@ def detect_geometric_degeneracy(s1: Segment, s2: Segment) -> list[DegeneracyPred
 
     len1, len2 = dist[1][0], dist[3][2]
     equal_len = abs(len1 - len2) <= dist_tol
-    ux, uy = x1 - x0, y1 - y0
-    d1, d2 = _unit(ux, uy), _unit(x3 - x2, y3 - y2)
+    ux, uy, vx, vy = x1 - x0, y1 - y0, x3 - x2, y3 - y2
+    for name, seg, d in (("s1", s1, (ux, uy)), ("s2", s2, (vx, vy))):
+        if d == (0.0, 0.0):
+            length, diameter = math.dist(*seg.endpoints), math.ldexp(unit, k)
+            raise ValueError(f"{name}'s length {length!r} underflows at the diameter {diameter:g}")
+    d1, d2 = _unit(ux, uy), _unit(vx, vy)
     out: list[tuple[PredicateTag, dict[str, float]]] = []
 
     if equal_len and abs(_concyclicity(pts)) <= 100.0 * PREDICATE_TOL:

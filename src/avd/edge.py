@@ -15,6 +15,7 @@ import numpy as np
 
 from .geometry import CanonicalConfig
 from .poly import BivariatePoly, ZeroPolynomial
+from .tolerances import DEGREE_TOL
 
 __all__ = ["EdgeCurve", "build_edge", "leading_coefficients", "ZeroPolynomial"]
 
@@ -62,6 +63,19 @@ class EdgeCurve:
     config: CanonicalConfig
     poly: BivariatePoly
     mirror_poly: BivariatePoly
+
+    @property
+    def degree(self) -> int:
+        """3 when poly's cubic coefficient t = 1 + l*cos(alpha) (on y^3) or
+        sigma = -l*sin(alpha) (on x^3) exceeds DEGREE_TOL * (1 + l), their size
+        before cancellation; else 2. A cutoff relative to the largest
+        coefficient would drop the cubic terms (about l) of a far pair, whose
+        degree-2 terms are about l^2. The cubic part (t*y + sigma*x)(x^2 + y^2)
+        vanishes only at l = 1, alpha = pi, where the conic's quadratic part
+        b*x^2 - 2a*xy - b*y^2 vanishes only if s2 is s1: no edge has degree 1.
+        """
+        t, sigma = self.poly.coefficient(0, 3), self.poly.coefficient(3, 0)
+        return 3 if max(abs(t), abs(sigma)) > DEGREE_TOL * (1.0 + self.config.l) else 2
 
     def mirrored(self) -> "EdgeCurve":
         """The same geometric pair under the opposite labeling of s2."""

@@ -8,9 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Point
-from .tolerances import DEGREE_TOL
-
 MAX_DEGREE = 3
 
 #: Monomial exponents in graded-lexicographic order, highest degree first,
@@ -123,25 +120,6 @@ def jet(f: BivariatePoly) -> np.ndarray:
     return np.stack(
         [c, cx, cy, derivative(cx, 0), derivative(cx, 1), derivative(cy, 1)], axis=-1
     )
-
-
-def gradient(f: BivariatePoly, p: Point) -> tuple[float, float]:
-    """(df/dx, df/dy) at p, from exact coefficient-wise differentiation."""
-    c = f.coeffs
-    gx = horner2(derivative(c, 0).tolist(), p.x, p.y)
-    gy = horner2(derivative(c, 1).tolist(), p.x, p.y)
-    return float(gx), float(gy)
-
-
-def effective_degree(f: BivariatePoly) -> int:
-    """Largest total degree whose coefficients rise above
-    DEGREE_TOL * max|coeff|."""
-    c = np.abs(f.coeffs)
-    cutoff = DEGREE_TOL * c.max()
-    for d in range(MAX_DEGREE, 0, -1):
-        if any(c[i, d - i] > cutoff for i in range(d + 1)):
-            return d
-    return 0
 
 
 def normalize(f: BivariatePoly) -> BivariatePoly:

@@ -14,7 +14,6 @@ ROUNDING_ULPS = 64.0
 POLISH_STEPS = 4
 #: singular points closer than this times max(1, |p|) are one point
 MERGE_RADIUS = 1e-6
-#: a total degree counts when one of its coefficients exceeds this times the largest;
 #: an edge is a cubic when a cubic coefficient exceeds this times 1 + l
 DEGREE_TOL = 1e-10
 #: geometric predicates: distances over the pair's diameter, products of unit directions

@@ -18,14 +18,16 @@ from .classify import (
     Circle,
     EdgeClassTag,
     Line,
+    NotFromEdge,
     _tables,
     _within_rounding,
     classify_edge,
+    classify_quadratic,
 )
-from .edge import build_edge, leading_coefficients
+from .edge import EdgeCurve, build_edge, leading_coefficients
 from .geometry import CanonicalConfig, Point, Segment, canonicalize
 from .oracle import GridSpec, validate_curve
-from .poly import BivariatePoly, effective_degree, horner2, jet, normalize
+from .poly import BivariatePoly, horner2, jet, normalize
 
 DEFAULT_SEED = 20240811
 
@@ -348,16 +350,25 @@ def run_degree1(seed: int) -> ScenarioResult:
         )
         for _ in range(100)
     ]
-    degrees = {effective_degree(build_edge(c).poly) for c in configs}
-    ok = degrees <= {2, 3}
+    curves = [build_edge(c) for c in configs]
+    misses = sum(not _cubic_or_conic(curve) for curve in curves)
     return ScenarioResult(
         "degree1",
-        "effective degree in {2, 3} over 10000 random configurations "
-        "and 100 from the degree-2 family",
-        f"degrees seen: {sorted(degrees)}",
+        "each edge a cubic or a classified conic over 10000 random "
+        "configurations and 100 from the degree-2 family",
+        f"degrees seen: {sorted({curve.degree for curve in curves})}, "
+        f"{misses} of {len(curves)} missed",
         0.0,
-        ok,
+        misses == 0,
     )
+
+
+def _cubic_or_conic(curve: EdgeCurve) -> bool:
+    """Degree 3, or a degree-2 edge the conic dichotomy gives a QUAD_* tag."""
+    try:
+        return curve.degree == 3 or classify_quadratic(curve.poly).tag.name.startswith("QUAD_")
+    except NotFromEdge:
+        return False
 
 
 def run_containment(seed: int) -> ScenarioResult:

@@ -20,15 +20,14 @@ from avd import (
     classify_edge,
     classify_quadratic,
     detect_geometric_degeneracy,
-    effective_degree,
     factor_circle_line,
-    gradient,
     jet,
     normalize,
 )
 from avd.classify import Circle, Line, NotFromEdge
 from avd.edge import EdgeCurve
-from avd.tolerances import FACTOR_TOL
+from avd.poly import horner2
+from avd.tolerances import DEGREE_TOL, FACTOR_TOL
 from avd.verify import (
     NODE_CONFIG,
     circle_distance,
@@ -226,9 +225,11 @@ class TestSingularities:
             f = normalize(
                 BivariatePoly.from_terms({(0, 2): 1.0, (3, 0): -1.0, (2, 0): -a})
             )
+            j = jet(f)
+            fx, fy = j[..., 1].tolist(), j[..., 2].tolist()
             for sp in elimination.find_singularities(f):
                 p = sp.location
-                gx, gy = gradient(f, p)
+                gx, gy = horner2(fx, p.x, p.y), horner2(fy, p.x, p.y)
                 assert max(abs(float(f(p.x, p.y))), abs(gx), abs(gy)) <= 1e-8
 
 
@@ -497,8 +498,10 @@ class TestClassifyEdge:
         against 1 + l instead. At s = 1e100 the square of the circle x line
         split's floor overflows."""
         curve = build_edge(CanonicalConfig(s, 0.0, s, 0.6, 0.8))
-        assert effective_degree(curve.poly) == 2
+        c = np.abs(curve.poly.coeffs)
+        assert max(c[0, 3], c[3, 0]) <= DEGREE_TOL * c.max()
         for branch in (curve, curve.mirrored()):
+            assert branch.degree == 3
             assert classify_edge(branch).tag is EdgeClassTag.CUBIC_IRREDUCIBLE_REGULAR
 
     @pytest.mark.parametrize("a", [1e11, 1e13])
@@ -510,7 +513,9 @@ class TestClassifyEdge:
         the configuration, so it goes to the conic dichotomy; the other
         labeling is a cubic."""
         curve = build_edge(CanonicalConfig(a, b, 1.0, 0.0, -1.0))
-        assert effective_degree(curve.poly) == 1
+        c = np.abs(curve.poly.coeffs)
+        assert max(c[2, 0], c[1, 1], c[0, 2]) <= DEGREE_TOL * c.max()
+        assert (curve.degree, curve.mirrored().degree) == (2, 3)
         assert classify_edge(curve).tag is EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES
         assert classify_edge(curve.mirrored()).tag is EdgeClassTag.CUBIC_IRREDUCIBLE_REGULAR
 
@@ -671,6 +676,16 @@ class TestDetectGeometricDegeneracy:
         s1 = Segment.of((-1.0, 0.0), (1.0, 0.0))
         s2 = Segment.of((0.3, 1.1), (2.2, 2.3))
         assert detect_geometric_degeneracy(s1, s2) == []
+
+    @pytest.mark.parametrize("name", ["s1", "s2"])
+    def test_underflowing_segment_raises(self, name):
+        # scaled to the pair's unit diameter, the short segment's endpoints
+        # coincide, so it has no direction to test
+        short = Segment.of((0.0, 0.0), (5e-324, 0.0))
+        far = Segment.of((1e10, 1.0), (1e10, 2.0))
+        pair = (short, far) if name == "s1" else (far, short)
+        with pytest.raises(ValueError, match=f"^{name}'s length 5e-324 underflows"):
+            detect_geometric_degeneracy(*pair)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_scaling_by_a_power_of_two(self, family):

@@ -277,8 +277,9 @@ class TestEdgeCommand:
         # a cubic whose cubic terms are 1e-12 of its largest coefficient
         ({"canonical": {"a": 1e12, "b": 0, "l": 1e12, "sin_alpha": 0.6, "cos_alpha": 0.8}},
          EXIT_OK),
-        # congruent antiparallel pairs far apart: a degree-2 edge whose quadratic
-        # terms are under DEGREE_TOL times its largest coefficient
+        # congruent antiparallel pairs far apart: a degree-2 edge, by its
+        # configuration, whose quadratic terms are under 1e-10 of its largest
+        # coefficient
         *(({"segments": [[[0, 0], [2, 0]], [[d + 2, 1], [d, 1]]]}, EXIT_OK)
           for d in (1e11, 1e12, 1e14)),
         # an edge table in range whose oracle and SVG marches overflow
@@ -569,6 +570,17 @@ class TestVerifyCommand:
     def test_degree_search_reaches_degree_two(self, capsys):
         assert main(["verify", "--only", "degree1"]) == EXIT_OK
         assert "degrees seen: [2, 3]" in capsys.readouterr().out
+
+    def test_degree1_row_fails_on_a_conic_miss(self, monkeypatch, capsys):
+        # the degree-2 family's edges, each rejected by the conic dichotomy
+        def reject(f):
+            raise NotFromEdge("forced")
+
+        monkeypatch.setattr(verify, "classify_quadratic", reject)
+        assert main(["verify", "--only", "degree1"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("degree1  FAIL")
+        assert "100 of 10100 missed" in out
 
     def test_full_run_passes_every_scenario(self, capsys):
         assert main(["verify"]) == EXIT_OK

@@ -9,11 +9,12 @@ from avd import (
     GridSpec,
     ZeroPolynomial,
     build_edge,
-    effective_degree,
+    classify_edge,
     extract_bisector,
     leading_coefficients,
     normalize,
 )
+from avd.tolerances import DEGREE_TOL
 from conftest import random_config
 
 # Ten agreed coefficients of the node-showcase cubic, graded-lex order.
@@ -42,7 +43,8 @@ class TestBuildEdge:
 
     def test_congruent_parallel_conic(self):
         cfg = CanonicalConfig(2.0, 1.5, 1.0, 0.0, -1.0)
-        poly = build_edge(cfg).poly
+        curve = build_edge(cfg)
+        poly = curve.poly
         a, b = 2.0, 1.5
         want = {
             (0, 2): -b, (1, 1): -2 * a, (2, 0): b,
@@ -50,7 +52,7 @@ class TestBuildEdge:
         }
         for (i, j), v in want.items():
             assert poly.coefficient(i, j) == pytest.approx(v, rel=1e-12, abs=1e-15)
-        assert effective_degree(poly) == 2
+        assert curve.degree == 2
 
     def test_collinear_half_length_expansion(self):
         # y * {(3/2)x^2 + (3/2)y^2 - x - 1/2}; the constant inside the brace
@@ -111,13 +113,30 @@ class TestLeadingCoefficients:
     def test_degree_never_exceeds_three(self, rng):
         for _ in range(200):
             cfg = random_config(rng, l_min=0.05)
-            assert effective_degree(build_edge(cfg).poly) <= 3
+            assert build_edge(cfg).degree in (2, 3)
 
     def test_degree_two_iff_leading_terms_vanish(self):
         drop = build_edge(CanonicalConfig(1.0, 2.0, 1.0, 0.0, -1.0))
-        assert effective_degree(drop.poly) == 2
+        assert drop.degree == 2
         keep = build_edge(CanonicalConfig(1.0, 2.0, 1.0, 0.0, 1.0))
-        assert effective_degree(keep.poly) == 3
+        assert keep.degree == 3
+
+
+class TestDegree:
+    def test_node_showcase_is_cubic(self, node_config):
+        assert build_edge(node_config).degree == 3
+
+    @pytest.mark.parametrize("ratio, want", [(0.5, 2), (2.0, 3)])
+    def test_boundary_at_unit_length(self, ratio, want):
+        # l = 1 is the only length at which both cubic terms can vanish; near
+        # alpha = pi, 1 + cos(alpha) rounds to 0 and |sigma| = sin(alpha) is
+        # ratio times the bound DEGREE_TOL * (1 + l)
+        sin = ratio * DEGREE_TOL * 2.0
+        curve = build_edge(CanonicalConfig(1.0, 2.0, 1.0, sin, -math.sqrt(1.0 - sin * sin)))
+        assert curve.poly.coefficient(0, 3) == 0.0
+        assert abs(curve.poly.coefficient(3, 0)) == ratio * DEGREE_TOL * (1.0 + 1.0)
+        assert curve.degree == want
+        assert classify_edge(curve).tag.value.startswith("cubic" if want == 3 else "quad")
 
 
 class TestSymbolicTable:

@@ -25,7 +25,6 @@ from avd import (
     build_edge,
     canonicalize,
     edge_singularities,
-    effective_degree,
     factor_circle_line,
 )
 import elimination
@@ -38,8 +37,8 @@ def searched_branches(config):
     """The branch polynomials of config that classify_edge hands to the search."""
     curve = build_edge(config)
     return [
-        f for f in (curve.poly, curve.mirror_poly)
-        if effective_degree(f) == 3 and factor_circle_line(f) is None
+        branch.poly for branch in (curve, curve.mirrored())
+        if branch.degree == 3 and factor_circle_line(branch.poly) is None
     ]
 
 

@@ -11,12 +11,10 @@ from avd import (
     Point,
     ZeroPolynomial,
     build_edge,
-    effective_degree,
-    gradient,
+    jet,
     normalize,
 )
 from avd.poly import horner2
-from avd.tolerances import DEGREE_TOL
 
 UNIT_CIRCLE = BivariatePoly.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
 NODAL_CUBIC = BivariatePoly.from_terms({(0, 2): 1.0, (3, 0): -1.0, (2, 0): -1.0})
@@ -104,52 +102,36 @@ class TestPolyval2dReference:
 
 
 class TestGradient:
+    """The jet's f_x and f_y tables, which the singular-point polish
+    evaluates with horner2."""
+
+    @staticmethod
+    def gradient(f: BivariatePoly, x: float, y: float) -> tuple[float, float]:
+        j = jet(f)
+        return horner2(j[..., 1].tolist(), x, y), horner2(j[..., 2].tolist(), x, y)
+
     def test_node_showcase_gradient_vanishes(self, node_config):
         f = build_edge(node_config).poly
-        gx, gy = gradient(f, Point(-1.0, 2.0))
+        gx, gy = self.gradient(f, -1.0, 2.0)
         assert abs(gx) <= 1e-12 and abs(gy) <= 1e-12
 
     def test_nodal_cubic_origin(self):
-        assert gradient(NODAL_CUBIC, Point(0.0, 0.0)) == (0.0, 0.0)
+        assert self.gradient(NODAL_CUBIC, 0.0, 0.0) == (0.0, 0.0)
 
     def test_circle_gradient(self):
-        assert gradient(UNIT_CIRCLE, Point(1.0, 0.0)) == (2.0, 0.0)
+        assert self.gradient(UNIT_CIRCLE, 1.0, 0.0) == (2.0, 0.0)
 
     def test_matches_central_differences(self, rng):
         h = 1e-6
         for _ in range(100):
             f = random_poly(rng)
             pts = rng.uniform(-3, 3, (100, 2))
-            for x, y in pts[rng.integers(0, 100, size=5)]:
-                gx, gy = gradient(f, Point(x, y))
+            for x, y in pts[rng.integers(0, 100, size=5)].tolist():
+                gx, gy = self.gradient(f, x, y)
                 fd_x = (float(f(x + h, y)) - float(f(x - h, y))) / (2 * h)
                 fd_y = (float(f(x, y + h)) - float(f(x, y - h))) / (2 * h)
                 assert abs(gx - fd_x) <= 1e-5
                 assert abs(gy - fd_y) <= 1e-5
-
-
-class TestEffectiveDegree:
-    def test_node_showcase_is_cubic(self, node_config):
-        assert effective_degree(build_edge(node_config).poly) == 3
-
-    def test_congruent_parallel_conic(self):
-        f = BivariatePoly.from_terms(
-            {(2, 0): 1.0, (1, 1): -2.0, (0, 2): -1.0, (0, 1): 2.0, (0, 0): -1.0}
-        )
-        assert effective_degree(f) == 2
-
-    def test_plain_line(self):
-        assert effective_degree(BivariatePoly.from_terms({(1, 0): 1, (0, 1): 1})) == 1
-
-    def test_constant(self):
-        assert effective_degree(BivariatePoly.from_terms({(0, 0): 2.0})) == 0
-
-    def test_relative_threshold(self):
-        # the y^3 term counts once it exceeds DEGREE_TOL times the largest
-        # coefficient, whatever the overall scale
-        for ratio, want in ((0.5, 1), (2.0, 3)):
-            f = BivariatePoly.from_terms({(0, 3): ratio * DEGREE_TOL * 7.0, (0, 1): 7.0})
-            assert effective_degree(f) == want
 
 
 class TestNormalize:
