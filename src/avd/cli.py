@@ -23,7 +23,8 @@ scene out of range for doubles (segments whose extent overflows, a
 canonical s2 whose endpoints round together, a pair whose s2 rounds to a
 point in the canonical frame, an edge table that overflows, an edge window
 (default or scene grid) whose image in the other frame overflows, an edge
-whose oracle or SVG marches overflow, or a default diagram window that does);
+whose oracle or SVG marches overflow, a default diagram window that does, or
+a diagram whose angle products overflow or underflow);
 3 identical segments, to 1e-12 of the pair's diameter (or a canonical block
 whose s2 is s1, or two coincident diagram sites); 4 internal anomaly (a
 cubic whose partials share a component, or a degree-2 edge that misses the
@@ -306,7 +307,13 @@ def cmd_diagram(args) -> int:
             grid = GridSpec(min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad, 160, 160)
         except ValueError as exc:
             raise ConfigError(f"default window is out of range: {exc}") from None
-    raster = rasterize_diagram(list(scene.segments), grid)
+    # sites near 2^512 overflow the angle products, and below about 2^-500
+    # they underflow; either shifts or erases labels
+    try:
+        with np.errstate(over="raise", under="raise"):
+            raster = rasterize_diagram(list(scene.segments), grid)
+    except FloatingPointError as exc:
+        raise ConfigError(f"diagram is out of range: {exc}") from None
     with open(args.svg, "w", encoding="utf-8") as fh:
         fh.write(render_diagram(raster, scene.segments))
 

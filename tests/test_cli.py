@@ -423,6 +423,12 @@ class TestFrames:
             assert here is not None and here == moved
 
 
+def scaled_sites(k: int) -> list:
+    """Three diagram sites scaled by 2^k."""
+    sites = [[[0, 0], [0.5, 0]], [[0.1, 0.4], [0.6, 0.5]], [[0.7, -0.2], [0.8, 0.3]]]
+    return [[[math.ldexp(v, k) for v in p] for p in s] for s in sites]
+
+
 class TestDiagramCommand:
     def test_three_sites(self, tmp_path, capsys):
         path = tmp_path / "three.json"
@@ -478,6 +484,9 @@ class TestDiagramCommand:
         [[[-1e308, 0], [0, 0]], [[1e308, 1], [0, 1]]],
         # the extent is finite, but the padded default window is not
         [[[-1.7e308, 0], [0, 0]], [[0, 1], [1, 1]]],
+        # the window is finite, but the angle products overflow or underflow
+        scaled_sites(512),
+        scaled_sites(-540),
     ])
     def test_out_of_range_exit_code(self, segments, tmp_path, capsys):
         path = tmp_path / "huge.json"
@@ -488,16 +497,14 @@ class TestDiagramCommand:
         assert not (tmp_path / "x.svg").exists()
 
     def test_default_window_scales_with_the_sites(self, tmp_path, capsys):
-        sites = [[[0, 0], [0.5, 0]], [[0.1, 0.4], [0.6, 0.5]], [[0.7, -0.2], [0.8, 0.3]]]
         counts = []
-        for k in (-10, 0, 10):
+        for k in (-500, -10, 0, 10, 500):
             path = tmp_path / f"scaled{k}.json"
-            scaled = [[[math.ldexp(v, k) for v in p] for p in s] for s in sites]
-            path.write_text(json.dumps({"segments": scaled}))
+            path.write_text(json.dumps({"segments": scaled_sites(k)}))
             assert main(["diagram", str(path), "--svg", str(tmp_path / "x.svg")]) == EXIT_OK
             summary = json.loads(capsys.readouterr().out)
             counts.append((summary["region_cells"], summary["boundary_cells"]))
-        assert counts[0] == counts[1] == counts[2]
+        assert all(c == counts[0] for c in counts)
 
 
 class TestVerifyCommand:

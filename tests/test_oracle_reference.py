@@ -199,14 +199,30 @@ def reference_labels(sites, grid, tie_tol=1e-12):
     return labels
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_rasterize_matches_reference(seed, monkeypatch):
+def window(n):
+    """Axis from -4 at a power-of-two step of at most 8 / (n - 1), so the
+    quarter-grid endpoints below, and x = 0, are nodes when the step is
+    small enough; at n = 65 this is [-4, 4]."""
+    step = 2.0 ** math.floor(math.log2(8.0 / (n - 1)))
+    return -4.0, -4.0 + (n - 1) * step
+
+
+# a block holds BLOCK_NODES // nx rows, 32 at nx = 512: ny = 31 fills less
+# than one block, 32 exactly one, and 33 one block and a one-row block
+RASTER_CASES = [pytest.param(seed, 65, 65, id=str(seed)) for seed in range(6)] + [
+    pytest.param(seed, nx, ny, id=f"{nx}x{ny}")
+    for seed, (nx, ny) in enumerate([(2, 2), (512, 31), (512, 32), (512, 33), (7, 300), (300, 7)], 6)
+]
+
+
+@pytest.mark.parametrize("seed, nx, ny", RASTER_CASES)
+def test_rasterize_matches_reference(seed, nx, ny, monkeypatch):
     rng = np.random.default_rng(seed)
     # endpoints on the grid's nodes give NaN angles; mirrored pairs tie
     sites = [Segment.of(*np.round(rng.uniform(-3, 3, (2, 2)) * 4) / 4) for _ in range(3)]
     sites += [Segment.of((-s.e0.x, s.e0.y), (-s.e1.x, s.e1.y)) for s in sites[:2]]
     sites += [random_segment(rng, 3.0) for _ in range(int(rng.integers(1, 6)))]
-    grid = GridSpec(-4.0, 4.0, -4.0, 4.0, 65, 65)
+    grid = GridSpec(*window(nx), *window(ny), nx, ny)
     for tie_tol in (1e-12, -1.0):
         monkeypatch.setattr(oracle, "TIE_TOL", tie_tol)
         got = rasterize_diagram(sites, grid).labels
