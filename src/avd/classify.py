@@ -50,8 +50,8 @@ __all__ = [
 
 
 class NotFromEdge(ValueError):
-    """A polynomial no segment pair produces: a quadratic without the
-    edge-conic coefficient pattern, or a cubic whose Laplacian is constant."""
+    """A polynomial no segment pair produces: a cubic whose Laplacian is
+    constant."""
 
 
 class SharedComponent(ValueError):
@@ -319,58 +319,32 @@ def _polish_and_accept(
 # degree-2 classification
 
 
-def _recover_conic_parameters(f: BivariatePoly) -> tuple[float, float, float]:
-    """Read (a, b, scale) back out of a (possibly rescaled) edge conic
-    sigma * { -b*y^2 - 2a*x*y + b*x^2 + (a^2+b^2)*y - b }.
+def classify_quadratic(curve: EdgeCurve) -> EdgeClass:
+    """Split a degree-2 edge into an orthogonal line pair or an orthogonal
+    (rectangular) hyperbola.
 
-    Raises:
-        NotFromEdge: the coefficient pattern does not match within FACTOR_TOL
-            of the largest coefficient.
+    A degree-2 edge has l = 1 and alpha = pi to within DEGREE_TOL, so its
+    conic is b*x^2 - 2a*x*y - b*y^2 + (a^2+b^2)*y - b, with a and b read from
+    curve.config, not back from the rounded table. With the midpoint on the
+    first segment's axis (b ~ 0) the conic is y * (2a*x - (a^2+b^2)), an
+    orthogonal pair. Otherwise the conic splits exactly when its 3x3 matrix
+    is singular, and that determinant has the closed form
+    b * (a^2+b^2) * (4 - a^2 - b^2) / 4: it vanishes on the radius-2 midpoint
+    circle. The split lines of a degenerate conic and the asymptotes of the
+    irreducible one both have slope product -1, so orthogonality comes with
+    the family. Both splits are decided at FACTOR_TOL: b relative to |a|, and
+    the determinant relative to the cube of the table's largest coefficient.
     """
-    c = f.coeffs
-    floor = FACTOR_TOL * float(np.abs(c).max())
-    A = float(c[2, 0])   # sigma * b
-    B = float(c[1, 1])   # sigma * (-2a)
-    C = float(c[0, 2])   # sigma * (-b)
-    D = float(c[1, 0])
-    E = float(c[0, 1])   # sigma * (a^2 + b^2)
-    F = float(c[0, 0])   # sigma * (-b)
-    if abs(D) > floor or abs(C + A) > floor or abs(F + A) > floor:
-        raise NotFromEdge("quadratic does not match the edge-conic pattern")
-    if abs(E) <= floor:
-        raise NotFromEdge("edge conic requires a nonzero linear y term")
-    sigma = ((0.5 * B) ** 2 + A * A) / E
-    if sigma == 0.0:
-        raise NotFromEdge("degenerate edge-conic parameters")
-    return (-0.5 * B / sigma, A / sigma, sigma)
-
-
-def classify_quadratic(f: BivariatePoly) -> EdgeClass:
-    """Split the degree-2 edge family into an orthogonal line pair or an
-    orthogonal (rectangular) hyperbola.
-
-    With the midpoint on the first segment's axis (b ~ 0) the conic is
-    y * (2a*x - (a^2+b^2)), an orthogonal pair. Otherwise the conic splits
-    exactly when its 3x3 matrix is singular, and that determinant has the
-    closed form sigma^3 * b * (a^2+b^2) * (4 - a^2 - b^2) / 4: it vanishes on
-    the radius-2 midpoint circle. The split lines of a degenerate conic and
-    the asymptotes of the irreducible one both have slope product -1, so
-    orthogonality comes with the family. Both splits are decided at
-    FACTOR_TOL: b relative to max(1, |a|), and the determinant relative to
-    the cube of the largest coefficient.
-    """
-    a, b, sigma = _recover_conic_parameters(f)
+    a, b = curve.config.a, curve.config.b
     rr = a * a + b * b
-    if abs(b) <= FACTOR_TOL * max(1.0, abs(a)):
-        if a == 0.0:
-            raise NotFromEdge("conic vanishes for a = b = 0")
+    if abs(b) <= FACTOR_TOL * abs(a):
         horizontal = Line.normalized(1.0, 0.0, 0.0)
         vertical = Line.normalized(0.0, 2.0 * a, -rr)
         return EdgeClass(
             EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES, lines=(horizontal, vertical)
         )
 
-    det = sigma**3 * b * rr * (4.0 - rr) / 4.0
+    det = b * rr * (4.0 - rr) / 4.0
     center = Point(0.5 * a, 0.5 * b)
     root = math.sqrt(rr)
     # Directions where the quadratic part vanishes: u = mu * v in centered
@@ -379,7 +353,7 @@ def classify_quadratic(f: BivariatePoly) -> EdgeClass:
     mu_neg = (a - root) / b
     d1 = _unit(mu_pos, 1.0)
     d2 = _unit(mu_neg, 1.0)
-    if abs(det) <= FACTOR_TOL * float(np.abs(f.coeffs).max()) ** 3:
+    if abs(det) <= FACTOR_TOL * float(np.abs(curve.poly.coeffs).max()) ** 3:
         lines = (
             Line.normalized(-mu_pos, 1.0, 0.5 * (mu_pos * b - a)),
             Line.normalized(-mu_neg, 1.0, 0.5 * (mu_neg * b - a)),
@@ -409,12 +383,11 @@ def classify_edge(curve: EdgeCurve) -> EdgeClass:
     singular exactly when edge_singularities, which intersects the cubic's
     Laplacian line f_xx + f_yy = 0 with the conic f_x = 0 and accepts points
     where f, f_x and f_y vanish to rounding, finds a point anywhere in the
-    plane. Otherwise the quadratic dichotomy; a table without the edge-conic
-    pattern is not from an edge.
+    plane. Otherwise the quadratic dichotomy of classify_quadratic, read
+    from the configuration.
 
     Raises:
         SharedComponent: an unfactored cubic whose partials share a curve.
-        NotFromEdge: no cubic terms, and no edge-conic pattern.
     """
     poly = curve.poly
     if curve.degree == 3:
@@ -427,7 +400,7 @@ def classify_edge(curve: EdgeCurve) -> EdgeClass:
                 EdgeClassTag.CUBIC_IRREDUCIBLE_SINGULAR, singularities=tuple(sings)
             )
         return EdgeClass(EdgeClassTag.CUBIC_IRREDUCIBLE_REGULAR)
-    return classify_quadratic(poly)
+    return classify_quadratic(curve)
 
 
 # ---------------------------------------------------------------------------

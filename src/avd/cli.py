@@ -27,8 +27,7 @@ whose oracle or SVG marches overflow, a default diagram window that does, or
 a diagram whose angle products overflow or underflow);
 3 identical segments, to 1e-12 of the pair's diameter (or a canonical block
 whose s2 is s1, or two coincident diagram sites); 4 internal anomaly (a
-cubic whose partials share a component, or a degree-2 edge that misses the
-edge-conic pattern at FACTOR_TOL).
+cubic whose partials share a component, or whose Laplacian is constant).
 """
 
 from __future__ import annotations

@@ -72,10 +72,12 @@ class EdgeCurve:
         coefficient would drop the cubic terms (about l) of a far pair, whose
         degree-2 terms are about l^2. The cubic part (t*y + sigma*x)(x^2 + y^2)
         vanishes only at l = 1, alpha = pi, where the conic's quadratic part
-        b*x^2 - 2a*xy - b*y^2 vanishes only if s2 is s1: no edge has degree 1.
+        b*x^2 - 2a*xy - b*y^2 vanishes only at a = b = 0: there s2 is s1, or
+        l != 1 and the table is about (1 - l)*y*(x^2 + y^2 + l), a cubic.
         """
         t, sigma = self.poly.coefficient(0, 3), self.poly.coefficient(3, 0)
-        return 3 if max(abs(t), abs(sigma)) > DEGREE_TOL * (1.0 + self.config.l) else 2
+        conic = max(abs(t), abs(sigma)) <= DEGREE_TOL * (1.0 + self.config.l)
+        return 2 if conic and (self.config.a, self.config.b) != (0.0, 0.0) else 3
 
     def mirrored(self) -> "EdgeCurve":
         """The same geometric pair under the opposite labeling of s2."""

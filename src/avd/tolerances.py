@@ -6,7 +6,8 @@ its float stays exactly what it was.
 """
 
 # classification
-#: circle-times-line and edge-conic residual over the largest coefficient
+#: circle-times-line residual over the largest coefficient; the edge conic's
+#: b over |a|, and its determinant over that coefficient cubed
 FACTOR_TOL = 1e-8
 #: a value is zero within this many epsilons of its sum of absolute terms (its rounding bound)
 ROUNDING_ULPS = 64.0
@@ -14,7 +15,7 @@ ROUNDING_ULPS = 64.0
 POLISH_STEPS = 4
 #: singular points closer than this times max(1, |p|) are one point
 MERGE_RADIUS = 1e-6
-#: an edge is a cubic when a cubic coefficient exceeds this times 1 + l
+#: an edge is a cubic when a cubic coefficient exceeds this times 1 + l (or a = b = 0)
 DEGREE_TOL = 1e-10
 #: geometric predicates: distances over the pair's diameter, products of unit directions
 PREDICATE_TOL = 1e-9

@@ -18,7 +18,6 @@ from .classify import (
     Circle,
     EdgeClassTag,
     Line,
-    NotFromEdge,
     _tables,
     _within_rounding,
     classify_edge,
@@ -365,10 +364,7 @@ def run_degree1(seed: int) -> ScenarioResult:
 
 def _cubic_or_conic(curve: EdgeCurve) -> bool:
     """Degree 3, or a degree-2 edge the conic dichotomy gives a QUAD_* tag."""
-    try:
-        return curve.degree == 3 or classify_quadratic(curve.poly).tag.name.startswith("QUAD_")
-    except NotFromEdge:
-        return False
+    return curve.degree == 3 or classify_quadratic(curve).tag.name.startswith("QUAD_")
 
 
 def run_containment(seed: int) -> ScenarioResult:

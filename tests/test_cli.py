@@ -293,6 +293,15 @@ class TestEdgeCommand:
           "grid": {"xmin": -1e10, "xmax": 1e10, "ymin": -1e10, "ymax": 1e10,
                    "nx": 8, "ny": 8}},
          EXIT_BAD_CONFIG),
+        # near-coincident pairs, whose degree-2 branch has a y coefficient
+        # that cancels to 0: s1 reversed and lifted off its line, s1 shifted
+        # along it, and s1 reversed at length 2 + 2e-11, which has no conic
+        # part at all
+        *(({"segments": [[[-1, 0], [1, 0]], [[1, h], [-1, h]]]}, EXIT_OK)
+          for h in (1e-9, 1e-10)),
+        ({"segments": [[[-1, 0], [1, 0]], [[-0.999999999, 0], [1.000000001, 0]]]}, EXIT_OK),
+        ({"segments": [[[-1, 0], [1, 0]], [[1.00000000001, 0], [-1.00000000001, 0]]]},
+         EXIT_OK),
     ])
     def test_edge_exit_codes_at_the_range_limits(self, scene, code, tmp_path, capsys):
         path = tmp_path / "scene.json"
@@ -314,8 +323,8 @@ class TestEdgeCommand:
 
     def test_far_antiparallel_pair_is_a_hyperbola(self, tmp_path, capsys):
         # a congruent antiparallel pair far from the origin: its degree-2
-        # edge matches the edge-conic pattern only to rounding, well within
-        # FACTOR_TOL
+        # edge is classified from the configuration's (a, b), not from the
+        # table, whose conic pattern holds only to rounding
         path = tmp_path / "conic.json"
         path.write_text(json.dumps({
             "segments": [
@@ -579,9 +588,10 @@ class TestVerifyCommand:
         assert "degrees seen: [2, 3]" in capsys.readouterr().out
 
     def test_degree1_row_fails_on_a_conic_miss(self, monkeypatch, capsys):
-        # the degree-2 family's edges, each rejected by the conic dichotomy
-        def reject(f):
-            raise NotFromEdge("forced")
+        # the degree-2 family's edges, each given a cubic tag by the conic
+        # dichotomy
+        def reject(curve):
+            return EdgeClass(EdgeClassTag.CUBIC_IRREDUCIBLE_REGULAR)
 
         monkeypatch.setattr(verify, "classify_quadratic", reject)
         assert main(["verify", "--only", "degree1"]) == 1
