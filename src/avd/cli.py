@@ -23,8 +23,9 @@ scene out of range for doubles (segments whose extent overflows, a
 canonical s2 whose endpoints round together, a pair whose s2 rounds to a
 point in the canonical frame, an edge table that overflows, an edge window
 (default or scene grid) whose image in the other frame overflows, an edge
-whose oracle or SVG marches overflow, a default diagram window that does, or
-a diagram whose angle products overflow or underflow);
+whose oracle or SVG marches overflow, a default diagram window that does, a
+diagram whose angle products overflow or underflow, or a diagram site whose
+SVG pixel coordinates overflow);
 3 identical segments, to 1e-12 of the pair's diameter (or a canonical block
 whose s2 is s1, or two coincident diagram sites); 4 internal anomaly (a
 cubic whose partials share a component, or whose Laplacian is constant).
@@ -313,8 +314,12 @@ def cmd_diagram(args) -> int:
             raster = rasterize_diagram(list(scene.segments), grid)
     except FloatingPointError as exc:
         raise ConfigError(f"diagram is out of range: {exc}") from None
+    try:  # a site far outside a small window has pixels that overflow
+        svg = render_diagram(raster, scene.segments)
+    except ValueError as exc:
+        raise ConfigError(f"diagram is out of range: {exc}") from None
     with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(render_diagram(raster, scene.segments))
+        fh.write(svg)
 
     labels, counts = np.unique(raster.labels, return_counts=True)
     summary = {

@@ -60,8 +60,8 @@ class GridSpec:
     ny: int
 
     def __post_init__(self) -> None:
-        if not (-math.inf < self.x_min < self.x_max < math.inf
-                and -math.inf < self.y_min < self.y_max < math.inf):
+        # an extent in (0, inf) also rules out infinite and NaN bounds
+        if not (0 < self.x_max - self.x_min < math.inf and 0 < self.y_max - self.y_min < math.inf):
             raise ValueError("grid window must be finite with positive extent")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
@@ -163,22 +163,20 @@ def _gap_field(s1: Segment, s2: Segment) -> Callable[[np.ndarray, np.ndarray], n
 def _refine_crossings(
     p0: np.ndarray,
     p1: np.ndarray,
+    s0: np.ndarray,
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Bisect fn's zero along each bracket [p0_i, p1_i], BISECTION_STEPS times.
 
-    The sign convention treats exact zeros as positive, matching the grid
-    classification, so a zero-valued node is itself a legal bracket end.
+    s0 is fn's sign at p0 as the grid saw it. Exact zeros count as positive,
+    as on the grid, so a zero-valued node is itself a legal bracket end; a
+    NaN midpoint compares False and counts as negative.
     """
     n = len(p0)
     lo = np.zeros(n)
     hi = np.ones(n)
     x0, y0 = p0[:, 0], p0[:, 1]
     dx, dy = p1[:, 0] - x0, p1[:, 1] - y0
-    f0 = fn(x0, y0)
-    # NaN compares False: a NaN end counts as positive, as on the grid, and
-    # a NaN midpoint below as negative
-    s0 = ~(f0 < 0)
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         fm = fn(x0 + mid * dx, y0 + mid * dy)
@@ -190,18 +188,22 @@ def _refine_crossings(
     return np.column_stack([x0 + t * dx, y0 + t * dy])
 
 
-def _cubic_crossings(p0: np.ndarray, p1: np.ndarray, p: BivariatePoly) -> np.ndarray:
+def _cubic_crossings(
+    p0: np.ndarray, p1: np.ndarray, s0: np.ndarray, p: BivariatePoly
+) -> np.ndarray:
     """Solve p's zero along each bracket [p0_i, p1_i], which lies on a grid
     line, on the univariate cubic p takes on that line.
 
     Newton steps start from the bracket midpoint and keep the bisection's
     bracket and sign convention: exact zeros count as positive, and s0 is
-    p's sign at p0 as the grid saw it. A step that leaves the open bracket,
-    or fails to halve the step before it (as near a multiple zero), is
-    replaced by the bracket's midpoint. A bracket is done when the cubic is
-    exactly 0, or when the step or the bracket is within CROSSING_ULPS ulps
-    of the brackets' largest |coordinate|; it leaves the working set at
-    once. BISECTION_STEPS caps the iterations.
+    p's sign at p0 as the grid saw it, not the line cubic's, which rounds
+    differently and, along a line factor of p on the grid line, is noise
+    with no sign of its own. A step that leaves the open bracket, or fails
+    to halve the step before it (as near a multiple zero), is replaced by
+    the bracket's midpoint. A bracket is done when the cubic is exactly 0,
+    or when the step or the bracket is within CROSSING_ULPS ulps of the
+    brackets' largest |coordinate|; it leaves the working set at once.
+    BISECTION_STEPS caps the iterations.
     """
     horizontal = p0[:, 1] == p1[:, 1]  # the free coordinate is x
     fixed = np.where(horizontal, p0[:, 1], p0[:, 0])
@@ -215,9 +217,6 @@ def _cubic_crossings(p0: np.ndarray, p1: np.ndarray, p: BivariatePoly) -> np.nda
     for m in (2, 1, 0):
         a = a * fixed[:, None] + table[:, :, m]
     a3, a2, a1, a0 = a[:, 3], a[:, 2], a[:, 1], a[:, 0]
-    # the line cubic rounds differently from p, and along a line factor of p
-    # lying on the grid line it is rounding noise with no sign of its own
-    s0 = p(p0[:, 0], p0[:, 1]) >= 0
 
     free = np.empty(len(lo))
     todo = np.arange(len(lo))
@@ -263,9 +262,11 @@ def _march(
 
     fn is evaluated once on the grid axes, as fn(xs[None, :], ys[:, None]),
     and on 1-D arrays of points at saddle centres, so fields must broadcast.
-    refine(p0, p1, fn) places each crossing on its cell edge: the angle-gap
-    oracle bisects (_refine_crossings), a polynomial can be solved on its
-    grid-line cubic (_cubic_crossings).
+    refine(p0, p1, s0, fn) places each crossing on its cell edge, given the
+    grid's sign s0 at each bracket start p0: the angle-gap oracle bisects
+    (_refine_crossings), a polynomial can be solved on its grid-line cubic
+    (_cubic_crossings). With vertex_tol, fn is evaluated once more, at the
+    crossings, and those where |fn| > vertex_tol are dropped.
 
     Every cell edge has an integer id: horizontal edge (ix, iy), from node
     (ix, iy) to (ix+1, iy), is ix*ny + iy; vertical edge (ix, iy), from
@@ -299,9 +300,10 @@ def _march(
     hx, hy = np.divmod(h_ids, ny)
     vx, vy = np.divmod(v_ids, ny - 1)
     ids = np.concatenate([h_ids, n_h + v_ids])
-    p0 = np.column_stack([xs[np.concatenate([hx, vx])], ys[np.concatenate([hy, vy])]])
+    ix0, iy0 = np.concatenate([hx, vx]), np.concatenate([hy, vy])
+    p0 = np.column_stack([xs[ix0], ys[iy0]])
     p1 = np.column_stack([xs[np.concatenate([hx + 1, vx])], ys[np.concatenate([hy, vy + 1])]])
-    points = refine(p0, p1, fn)
+    points = refine(p0, p1, sign[iy0, ix0], fn)
     if vertex_tol is not None:
         r = fn(points[:, 0], points[:, 1])
         keep = np.isfinite(r) & (np.abs(r) <= vertex_tol)

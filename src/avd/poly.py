@@ -58,22 +58,12 @@ class BivariatePoly:
     def __call__(self, x, y):
         """f(x, y), with x and y broadcast against each other.
 
-        The arithmetic is npoly.polyval2d's, operation for operation: Horner
-        in x for every y-power, then Horner in y over those results, so each
-        value is bit-equal to polyval2d on the broadcast arrays and a scalar
-        call returns a numpy float. Called with a row of xs and a column of
-        ys, the x-pass runs once per column instead of once per node.
+        horner2 on the coefficient table, so each value is bit-equal to
+        npoly.polyval2d on the broadcast arrays and a scalar call returns a
+        numpy float. Called with a row of xs and a column of ys, the x-pass
+        runs once per column instead of once per node.
         """
-        x = np.asanyarray(x)
-        y = np.asanyarray(y)
-        c = self._c.reshape((4, 4) + (1,) * x.ndim)
-        p = c[3] + x * 0
-        for i in (2, 1, 0):
-            p = c[i] + p * x
-        q = p[3] + y * 0
-        for j in (2, 1, 0):
-            q = p[j] + q * y
-        return q
+        return horner2(self._c.tolist(), np.asanyarray(x), np.asanyarray(y))
 
     def __repr__(self) -> str:
         terms = [
@@ -94,15 +84,16 @@ def derivative(c: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def horner2(c: list[list[float]], x: float, y: float) -> float:
-    """c(x, y) for one 4x4 table given as nested lists (table.tolist()).
+def horner2(c: list[list[float]], x, y):
+    """c(x, y) for one 4x4 table given as nested lists (table.tolist()), at
+    floats or at float64 arrays that broadcast against each other.
 
     The operations are npoly.polyval2d's, in its order: Horner in x for
     every y-power, then Horner in y over those. Python's float + and * are
     the same IEEE double operations as numpy's elementwise ones, so the value
-    is bit-equal to polyval2d's at a fraction of its per-call cost. The
-    x * 0.0 and y * 0.0 terms are polyval2d's too: they can turn a -0.0
-    coefficient into 0.0, and an infinite coordinate into NaN.
+    is bit-equal to polyval2d's, at a fraction of its per-call cost on
+    floats. The x * 0.0 and y * 0.0 terms are polyval2d's too: they can turn
+    a -0.0 coefficient into 0.0, and an infinite coordinate into NaN.
     """
     (c00, c01, c02, c03), (c10, c11, c12, c13), (c20, c21, c22, c23), (c30, c31, c32, c33) = c
     zx = x * 0.0

@@ -37,7 +37,8 @@ class _Mapper:
     """Coordinates -> SVG pixels of the world window grid (y axis flipped).
 
     Points go through to_world first. The identity map keeps every bit of
-    its input, except that it turns -0.0 into 0.0.
+    its input, except that it turns -0.0 into 0.0. A pixel coordinate that
+    is not finite, as of a far site in a small window, raises ValueError.
     """
 
     def __init__(
@@ -54,10 +55,10 @@ class _Mapper:
 
     def __call__(self, x: float, y: float) -> tuple[float, float]:
         x, y = self.to_world.apply(x, y)
-        return (
-            (x - self.grid.x_min) * self.sx,
-            (self.grid.y_max - y) * self.sy,
-        )
+        px, py = (x - self.grid.x_min) * self.sx, (self.grid.y_max - y) * self.sy
+        if not (np.isfinite(px).all() and np.isfinite(py).all()):
+            raise ValueError("pixel coordinate is not finite")
+        return px, py
 
     def path(self, points: np.ndarray) -> str:
         pts = np.asarray(points, dtype=float)

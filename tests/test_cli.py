@@ -167,7 +167,9 @@ class TestSceneLoading:
 
     @pytest.mark.parametrize("command", ["edge", "diagram"])
     @pytest.mark.parametrize(
-        "change", [{"xmax": "inf"}, {"ymin": "-inf"}, {"nx": 2.9}, {"ny": 16.5}]
+        "change", [{"xmax": "inf"}, {"ymin": "-inf"}, {"nx": 2.9}, {"ny": 16.5},
+                   # finite bounds whose extent overflows
+                   {"xmin": -1.5e308, "xmax": 1.5e308}]
     )
     def test_rejects_bad_grid(self, command, change, tmp_path, capsys):
         grid = {"xmin": -4, "xmax": 4, "ymin": -4, "ymax": 4, "nx": 16, "ny": 16}
@@ -505,6 +507,19 @@ class TestDiagramCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "x.svg").exists()
 
+    def test_far_site_pixels_exit_code(self, tmp_path, capsys):
+        # the raster is fine, but the far site's pixel x, (1e306 + 1) * 360,
+        # overflows
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "segments": [[[1e306, 0], [0, 0]], [[-1, 1], [1, 1.5]]],
+            "grid": {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 8, "ny": 8},
+        }))
+        assert main(["diagram", str(path), "--svg", str(tmp_path / "x.svg")]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: diagram is out of range") and err.count("\n") == 1
+        assert not (tmp_path / "x.svg").exists()
+
     def test_default_window_scales_with_the_sites(self, tmp_path, capsys):
         counts = []
         for k in (-500, -10, 0, 10, 500):
@@ -588,12 +603,17 @@ class TestVerifyCommand:
         assert "degrees seen: [2, 3]" in capsys.readouterr().out
 
     def test_degree1_row_fails_on_a_conic_miss(self, monkeypatch, capsys):
-        # the degree-2 family's edges, each given a cubic tag by the conic
-        # dichotomy
-        def reject(curve):
-            return EdgeClass(EdgeClassTag.CUBIC_IRREDUCIBLE_REGULAR)
+        # the degree-2 family's edges, each given a table whose terms of
+        # degree 2 and 3 are dropped
+        def linear(config):
+            curve = build_edge(config)
+            if curve.degree == 3:
+                return curve
+            low = np.add.outer(np.arange(4), np.arange(4)) <= 1
+            table = np.where(low, curve.poly.coeffs, 0.0)
+            return EdgeCurve(config, BivariatePoly(table), curve.mirror_poly)
 
-        monkeypatch.setattr(verify, "classify_quadratic", reject)
+        monkeypatch.setattr(verify, "build_edge", linear)
         assert main(["verify", "--only", "degree1"]) == 1
         out = capsys.readouterr().out
         assert out.startswith("degree1  FAIL")

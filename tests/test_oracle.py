@@ -5,6 +5,7 @@ import pytest
 
 from avd import (
     BOUNDARY_LABEL,
+    BivariatePoly,
     CanonicalConfig,
     EndpointQuery,
     GridSpec,
@@ -21,6 +22,7 @@ from avd import (
     rasterize_diagram,
     validate_curve,
 )
+from avd.tolerances import BISECTION_STEPS, GAP_VERTEX_TOL
 from conftest import random_config
 
 
@@ -134,6 +136,15 @@ class TestExtractBisector:
             assert np.hypot(*(fine - pt).T).min() <= coarse_diag
 
 
+class TestGridSpec:
+    def test_rejects_an_extent_that_overflows(self):
+        with pytest.raises(ValueError, match="finite with positive extent"):
+            GridSpec(-1.5e308, 1.5e308, -1.0, 1.0, 16, 16)
+        with pytest.raises(ValueError, match="finite with positive extent"):
+            GridSpec(-1.0, 1.0, -1.5e308, 1.5e308, 16, 16)
+        assert GridSpec(-0.8e308, 0.8e308, -1.0, 1.0, 16, 16).xs()[-1] == 0.8e308
+
+
 class TestGridAxes:
     def test_gap_field_on_axes_matches_meshgrid(self):
         # step 0.5: all four endpoints sit on grid nodes
@@ -144,6 +155,54 @@ class TestGridAxes:
         got = fn(xs[None, :], ys[:, None])
         assert np.isnan(want).sum() == 4
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class CountingField:
+    """A field that counts its evaluations."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, X, Y):
+        self.calls += 1
+        return self.fn(X, Y)
+
+
+class CountingPoly(BivariatePoly):
+    """A polynomial that counts its evaluations."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, coeff):
+        super().__init__(coeff)
+        self.calls = 0
+
+    def __call__(self, x, y):
+        self.calls += 1
+        return super().__call__(x, y)
+
+
+class TestEvaluationCounts:
+    """The march evaluates each field once per stage, never a node twice:
+    the refiners take each bracket start's sign from the grid."""
+
+    def test_gap_march(self):
+        fn = CountingField(oracle._gap_field(S1, PARALLEL))
+        grid = GridSpec.square(6.0, 64)
+        skip = oracle._endpoint_cells(grid, (S1, PARALLEL))
+        points, _ = oracle._march(fn, grid, skip, GAP_VERTEX_TOL)
+        assert len(points) > 0
+        # the grid, every bisection step, the vertex filter, the saddle centres
+        assert fn.calls == 1 + BISECTION_STEPS + 1 + 1 == 63
+
+    def test_cubic_march(self, node_config):
+        p = CountingPoly(normalize(build_edge(node_config).poly).coeffs)
+        grid = GridSpec.canonical_window(node_config, 64)
+        points, _ = oracle._march(p, grid, refine=oracle._cubic_crossings)
+        assert len(points) > 0
+        # the grid and the saddle centres; the crossings are solved on the
+        # grid-line cubics
+        assert p.calls == 2
 
 
 class TestImplicitPolylines:

@@ -30,18 +30,20 @@ def reference_march(values, xs, ys, fn, skip_cells, vertex_tol):
     sign = np.where(valid, values, 1.0) >= 0
     h_cross = valid[:, :-1] & valid[:, 1:] & (sign[:, :-1] != sign[:, 1:])
     v_cross = valid[:-1, :] & valid[1:, :] & (sign[:-1, :] != sign[1:, :])
-    edges, p0s, p1s = [], [], []
+    edges, p0s, p1s, s0s = [], [], [], []
     for iy, ix in zip(*np.nonzero(h_cross)):
         edges.append(("h", int(ix), int(iy)))
         p0s.append((xs[ix], ys[iy]))
         p1s.append((xs[ix + 1], ys[iy]))
+        s0s.append(sign[iy, ix])
     for iy, ix in zip(*np.nonzero(v_cross)):
         edges.append(("v", int(ix), int(iy)))
         p0s.append((xs[ix], ys[iy]))
         p1s.append((xs[ix], ys[iy + 1]))
+        s0s.append(sign[iy, ix])
     if not edges:
         return {}, []
-    pts = _refine_crossings(np.array(p0s), np.array(p1s), fn)
+    pts = _refine_crossings(np.array(p0s), np.array(p1s), np.array(s0s), fn)
     vertices = {}
     for key, pt in zip(edges, pts):
         if vertex_tol is not None:
