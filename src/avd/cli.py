@@ -18,14 +18,15 @@ malformed.
 Frames: class payloads, "validation" and the validation's curve_polylines
 are in the canonical frame of the pair; predicate witnesses and the SVG are
 in the world frame; a config "grid" is a world window (validation runs over
-the bounding box of its preimage). Exit codes: 2 malformed config, or a
-scene out of range for doubles (segments whose extent overflows, a
-canonical s2 whose endpoints round together, a pair whose s2 rounds to a
-point in the canonical frame, an edge table that overflows, an edge window
-(default or scene grid) whose image in the other frame overflows, an edge
-whose oracle or SVG marches overflow, a default diagram window that does, a
-diagram whose angle products overflow or underflow, or a diagram site whose
-SVG pixel coordinates overflow);
+the bounding box of its preimage). Exit codes: 2 malformed config (a JSON
+boolean is not a number), or a scene out of range for doubles (segments
+whose extent overflows, a canonical s2 whose endpoints round together, a
+pair whose s2 rounds to a point in the canonical frame, an edge table that
+overflows, an edge window (default or scene grid) whose image in the other
+frame overflows, an edge whose oracle or SVG marches overflow, a default
+diagram window that does, a diagram whose angle products overflow or
+underflow, a diagram site whose SVG pixel coordinates overflow, or a grid
+too large to index or allocate);
 3 identical segments, to 1e-12 of the pair's diameter (or a canonical block
 whose s2 is s1, or two coincident diagram sites); 4 internal anomaly (a
 cubic whose partials share a component, or whose Laplacian is constant).
@@ -89,14 +90,20 @@ class SceneConfig:
     canonical: Optional[CanonicalConfig] = None
 
 
+def _number(value) -> float:
+    if isinstance(value, bool):  # float() would read JSON false and true as 0 and 1
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _parse_grid(obj) -> GridSpec:
     try:
-        nx, ny = float(obj["nx"]), float(obj["ny"])
+        nx, ny = _number(obj["nx"]), _number(obj["ny"])
         if not (nx.is_integer() and ny.is_integer()):
             raise ValueError("node counts must be whole numbers")
         return GridSpec(
-            float(obj["xmin"]), float(obj["xmax"]),
-            float(obj["ymin"]), float(obj["ymax"]),
+            _number(obj["xmin"]), _number(obj["xmax"]),
+            _number(obj["ymin"]), _number(obj["ymax"]),
             int(nx), int(ny),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -112,7 +119,7 @@ def _parse_containment(obj) -> float:
         if key not in TOLERANCE_KEYS:
             raise ConfigError(f"unknown tolerance {key!r}")
         try:
-            containment = float(value)
+            containment = _number(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad tolerance {key!r}: {exc}") from exc
         if not (math.isfinite(containment) and containment > 0):
@@ -138,7 +145,7 @@ def load_scene(path: str) -> SceneConfig:
         if not isinstance(c, dict) or set(c) != set(CANONICAL_KEYS):
             raise ConfigError(f"canonical block needs exactly {', '.join(CANONICAL_KEYS)}")
         try:
-            canonical = CanonicalConfig(*(float(c[k]) for k in CANONICAL_KEYS))
+            canonical = CanonicalConfig(*(_number(c[k]) for k in CANONICAL_KEYS))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad canonical object: {exc}") from exc
 
@@ -149,7 +156,7 @@ def load_scene(path: str) -> SceneConfig:
     for i, pair in enumerate(pairs):
         try:
             (x0, y0), (x1, y1) = pair
-            segments.append(Segment.of((float(x0), float(y0)), (float(x1), float(y1))))
+            segments.append(Segment.of((_number(x0), _number(y0)), (_number(x1), _number(y1))))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad segment #{i}: {exc}") from exc
 
@@ -276,7 +283,7 @@ def cmd_edge(args) -> int:
                     extract_bisector(s1, s2, grid).polylines,
                     branch.singularities,
                 )
-    except FloatingPointError as exc:
+    except (FloatingPointError, MemoryError) as exc:
         raise ConfigError(f"edge is out of range: {exc}") from None
     text = json.dumps(build_report(curve, branch, mirror, checked), indent=2, sort_keys=True)
     if args.out:
@@ -312,7 +319,7 @@ def cmd_diagram(args) -> int:
     try:
         with np.errstate(over="raise", under="raise"):
             raster = rasterize_diagram(list(scene.segments), grid)
-    except FloatingPointError as exc:
+    except (FloatingPointError, MemoryError) as exc:
         raise ConfigError(f"diagram is out of range: {exc}") from None
     try:  # a site far outside a small window has pixels that overflow
         svg = render_diagram(raster, scene.segments)

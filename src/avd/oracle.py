@@ -3,17 +3,18 @@
 Everything here works directly from visual angles: a signed angle gap, a
 marching-squares extraction of the equal-angle locus (robust at the singular
 points the classifier cares about, where a curve tracer would need special
-cases), and an n-site raster of the full diagram. The extraction refines
-every cell-edge crossing of the angle gap by bisection, so its vertices are
-usable as an independent check of the algebraic curve. The same marching
-squares draws the polynomial curves; their crossings are solved on the cubic
-each polynomial takes along the crossed grid line.
+cases), and an n-site raster of the full diagram. The extraction bisects
+every cell-edge crossing of the angle gap, computing both sites' angles as
+_segment_angles does, so its vertices are usable as an independent check of
+the algebraic curve. The same marching squares draws the polynomial curves;
+their crossings are solved on the cubic each takes along the crossed line.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,6 +66,8 @@ class GridSpec:
             raise ValueError("grid window must be finite with positive extent")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
+        if self.nx * self.ny * np.dtype(float).itemsize > np.iinfo(np.intp).max:  # bytes
+            raise ValueError("grid has more nodes than numpy can index")
 
     @classmethod
     def square(cls, half_width: float, n: int) -> "GridSpec":
@@ -161,31 +164,45 @@ def _gap_field(s1: Segment, s2: Segment) -> Callable[[np.ndarray, np.ndarray], n
 
 
 def _refine_crossings(
-    p0: np.ndarray,
-    p1: np.ndarray,
-    s0: np.ndarray,
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    p0: np.ndarray, p1: np.ndarray, s0: np.ndarray, s1: Segment, s2: Segment
 ) -> np.ndarray:
-    """Bisect fn's zero along each bracket [p0_i, p1_i], BISECTION_STEPS times.
+    """Bisect theta(s1) - theta(s2) along each bracket [p0_i, p1_i], which lies
+    on a grid line, BISECTION_STEPS times, with _segment_angles' angles to the bit.
 
-    s0 is fn's sign at p0 as the grid saw it. Exact zeros count as positive,
-    as on the grid, so a zero-valued node is itself a legal bracket end; a
-    NaN midpoint compares False and counts as negative.
-    """
+    s0 is the gap's sign at p0 as the grid saw it; exact zeros count as
+    positive, as on the grid, and a NaN midpoint (on an endpoint, or overflow)
+    as negative. With A = e_free - u, B = e_fixed - fixed for a site's ends e0,
+    e1, the cross product is +-(A0*B1 - B0*A1), the dot A0*A1 + B0*B1: B is
+    computed once, and only an endpoint whose B is 0 can meet a midpoint."""
     n = len(p0)
-    lo = np.zeros(n)
-    hi = np.ones(n)
-    x0, y0 = p0[:, 0], p0[:, 1]
-    dx, dy = p1[:, 0] - x0, p1[:, 1] - y0
+    horizontal = p0[:, 1] == p1[:, 1]  # the free coordinate is x
+    fixed = np.where(horizontal, p0[:, 1], p0[:, 0]) + 0.0  # p0's, plus mid * 0.0
+    u0 = np.where(horizontal, p0[:, 0], p0[:, 1])
+    du = np.where(horizontal, p1[:, 0], p1[:, 1]) - u0
+    # [k, site, bracket]: endpoint k's free coordinate E and fixed difference B
+    ends = np.array([[[e.x, e.y] for e in s.endpoints] for s in (s1, s2)]).transpose(1, 0, 2)
+    E = np.where(horizontal, ends[..., :1], ends[..., 1:])
+    B0, B1 = np.where(horizontal, ends[..., 1:], ends[..., :1]) - fixed
+    BB, on_line = B0 * B1, (B0 == 0, B1 == 0)
+    check_ends = on_line[0].any() or on_line[1].any()
+    lo, hi, mid, u, take = np.zeros(n), np.ones(n), np.empty(n), np.empty(n), np.empty(n, bool)
+    A, (cross, dot) = np.empty((2, 2, n)), np.empty((2, 2, n))
     for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        fm = fn(x0 + mid * dx, y0 + mid * dy)
-        sm = fm >= 0
-        take_lo = sm == s0
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-    t = 0.5 * (lo + hi)
-    return np.column_stack([x0 + t * dx, y0 + t * dy])
+        np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
+        np.add(u0, np.multiply(mid, du, out=u), out=u)
+        np.subtract(E, u, out=A)
+        np.subtract(np.multiply(A[0], B1, out=cross), np.multiply(B0, A[1], out=dot), out=cross)
+        np.abs(cross, out=cross)
+        np.add(np.multiply(A[0], A[1], out=dot), BB, out=dot)
+        np.arctan2(cross, dot, out=cross)
+        if check_ends:
+            np.copyto(cross, np.nan, where=(on_line[0] & (A[0] == 0)) | (on_line[1] & (A[1] == 0)))
+        # theta(s1) - theta(s2) >= 0 exactly when theta(s1) >= theta(s2)
+        np.equal(np.greater_equal(cross[0], cross[1], out=take), s0, out=take)
+        np.putmask(lo, take, mid)
+        np.putmask(hi, np.logical_not(take, out=take), mid)
+    points = np.column_stack([u0 + 0.5 * (lo + hi) * du, fixed])  # (free, fixed)
+    return np.where(horizontal[:, None], points, points[:, ::-1])
 
 
 def _cubic_crossings(
@@ -254,19 +271,19 @@ def _cubic_crossings(
 def _march(
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     grid: GridSpec,
+    refine: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     skip_cells: np.ndarray | None = None,
     vertex_tol: float | None = None,
-    refine: Callable = _refine_crossings,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shared marching-squares core.
 
     fn is evaluated once on the grid axes, as fn(xs[None, :], ys[:, None]),
     and on 1-D arrays of points at saddle centres, so fields must broadcast.
-    refine(p0, p1, s0, fn) places each crossing on its cell edge, given the
-    grid's sign s0 at each bracket start p0: the angle-gap oracle bisects
-    (_refine_crossings), a polynomial can be solved on its grid-line cubic
-    (_cubic_crossings). With vertex_tol, fn is evaluated once more, at the
-    crossings, and those where |fn| > vertex_tol are dropped.
+    refine(p0, p1, s0) places each crossing on its cell edge from the grid's
+    sign s0 of fn at each bracket start p0, knowing fn's form without calling
+    it: the gap's two angles are bisected (_refine_crossings), a polynomial's
+    grid-line cubic solved (_cubic_crossings). With vertex_tol, fn is
+    evaluated once more, at the crossings; those where |fn| > vertex_tol go.
 
     Every cell edge has an integer id: horizontal edge (ix, iy), from node
     (ix, iy) to (ix+1, iy), is ix*ny + iy; vertical edge (ix, iy), from
@@ -303,7 +320,7 @@ def _march(
     ix0, iy0 = np.concatenate([hx, vx]), np.concatenate([hy, vy])
     p0 = np.column_stack([xs[ix0], ys[iy0]])
     p1 = np.column_stack([xs[np.concatenate([hx + 1, vx])], ys[np.concatenate([hy, vy + 1])]])
-    points = refine(p0, p1, sign[iy0, ix0], fn)
+    points = refine(p0, p1, sign[iy0, ix0])
     if vertex_tol is not None:
         r = fn(points[:, 0], points[:, 1])
         keep = np.isfinite(r) & (np.abs(r) <= vertex_tol)
@@ -403,21 +420,22 @@ def extract_bisector(s1: Segment, s2: Segment, grid: GridSpec) -> PolyLineSet:
     """Equal-visual-angle locus as polylines.
 
     Marching squares on the sign of the angle gap; every cell-edge crossing
-    is sharpened by bisection and kept only where the gap there is at most
-    GAP_VERTEX_TOL, which drops the sign changes across the gap's jumps.
+    is bisected by _refine_crossings and kept only where the gap there is
+    at most GAP_VERTEX_TOL, which drops the sign changes across its jumps.
     Cells containing a segment endpoint are skipped (the gap is
     discontinuous there). The set is empty when the gap never changes sign
     on the grid or no polyline survives the tolerance.
     """
     skip = _endpoint_cells(grid, (s1, s2))
-    return PolyLineSet(_chain(*_march(_gap_field(s1, s2), grid, skip, GAP_VERTEX_TOL)))
+    refine = partial(_refine_crossings, s1=s1, s2=s2)
+    return PolyLineSet(_chain(*_march(_gap_field(s1, s2), grid, refine, skip, GAP_VERTEX_TOL)))
 
 
 def implicit_polylines(p: BivariatePoly, grid: GridSpec) -> PolyLineSet:
     """Zero set of a polynomial as polylines (marching squares, crossings
     solved on p's grid-line cubics by _cubic_crossings). The set is empty
     when p never changes sign on the grid."""
-    return PolyLineSet(_chain(*_march(p, grid, refine=_cubic_crossings)))
+    return PolyLineSet(_chain(*_march(p, grid, partial(_cubic_crossings, p=p))))
 
 
 def rasterize_diagram(sites: Sequence[Segment], grid: GridSpec) -> LabeledRaster:
@@ -541,7 +559,7 @@ def validate_curve(
     if not len(oracle_vertices):
         notes.append("oracle locus missed the window or produced no sign change")
 
-    samples, segments = _march(p_conv, grid, refine=_cubic_crossings)
+    samples, segments = _march(p_conv, grid, partial(_cubic_crossings, p=p_conv))
     if len(oracle_vertices):
         rc = np.abs(p_conv(oracle_vertices[:, 0], oracle_vertices[:, 1]))
         rm = np.abs(p_mirr(oracle_vertices[:, 0], oracle_vertices[:, 1]))

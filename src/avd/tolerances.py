@@ -29,7 +29,7 @@ UNIT_CIRCLE_TOL = 1e-9
 # oracle
 #: largest angle gap at a refined crossing that is a bisector vertex, not a jump of the gap
 GAP_VERTEX_TOL = 1e-10
-#: halvings of each crossing's bracket; 2^-60 of a cell edge is below double resolution
+#: halvings of each gap crossing's bracket, all taken; 2^-60 of a cell edge is below resolution
 BISECTION_STEPS = 60
 #: a polynomial crossing is solved once its Newton step or bracket is this many ulps
 #: of the largest |coordinate|; rounding in the grid-line cubic is about as large

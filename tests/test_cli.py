@@ -169,7 +169,11 @@ class TestSceneLoading:
     @pytest.mark.parametrize(
         "change", [{"xmax": "inf"}, {"ymin": "-inf"}, {"nx": 2.9}, {"ny": 16.5},
                    # finite bounds whose extent overflows
-                   {"xmin": -1.5e308, "xmax": 1.5e308}]
+                   {"xmin": -1.5e308, "xmax": 1.5e308},
+                   # more nodes than numpy can index
+                   {"nx": 1e300}, {"nx": 2.0 ** 40, "ny": 2.0 ** 40},
+                   # JSON booleans are not numbers
+                   {"xmin": False, "xmax": True}, {"nx": True}]
     )
     def test_rejects_bad_grid(self, command, change, tmp_path, capsys):
         grid = {"xmin": -4, "xmax": 4, "ymin": -4, "ymax": 4, "nx": 16, "ny": 16}
@@ -180,6 +184,35 @@ class TestSceneLoading:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: bad grid object")
+
+    @pytest.mark.parametrize("command", ["edge", "diagram"])
+    @pytest.mark.parametrize("scene", [
+        {"segments": [[[True, 0], [1, 0]], [[0, 1], [2, 1]]]},
+        {"segments": [[[-1, 0], [1, 0]], [[0, 1], [2, 1]]], "tolerances": {"containment": True}},
+        {"canonical": {"a": 1, "b": False, "l": 1, "sin_alpha": 0.6, "cos_alpha": 0.8}},
+    ])
+    def test_rejects_booleans_as_numbers(self, command, scene, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(scene))
+        assert main([command, str(path), "--svg", str(tmp_path / "x.svg")]) == EXIT_BAD_CONFIG
+        assert "expected a number, got " in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("command, stage", [("edge", "validate_curve"),
+                                                ("diagram", "rasterize_diagram")])
+    def test_allocation_failure_exit_code(self, command, stage, pair_config,
+                                          tmp_path, monkeypatch, capsys):
+        import avd.cli as cli_mod
+
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli_mod, stage, too_large)
+        svg = tmp_path / "x.svg"
+        assert main([command, pair_config, "--svg", str(svg)]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and not svg.exists()
+        assert captured.err.startswith(f"error: {command} is out of range: Unable to allocate")
 
     @pytest.mark.parametrize("count", [256, 256.0, "256"])
     def test_whole_node_counts_run(self, count, tmp_path):

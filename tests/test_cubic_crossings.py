@@ -1,6 +1,7 @@
 """The polynomial marches solve each crossing on the grid-line cubic
 (_cubic_crossings); 60-step bisection of the bivariate polynomial
-(_refine_crossings, the oracle's refinement) is the reference.
+(bisection.bisect_crossings, the loop the oracle's gap kernel grew out of)
+is the reference.
 
 Both solvers see the same grid signs, so the vertex ids, the per-cell
 segments and with them the chains must be identical. Every vertex must lie
@@ -10,6 +11,8 @@ points are zeros of p within its rounding bound, as on a multiple zero or a
 line factor, where either point is as good as the other.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from avd import BivariatePoly, GridSpec, build_edge, normalize, oracle
 from avd.oracle import _chain, _cubic_crossings, _march
 from avd.tolerances import ROUNDING_ULPS
 from avd.verify import NODE_CONFIG
+from bisection import bisecting
 from conftest import FAMILIES, random_config
 
 SHIFT_ULPS = 16.0
@@ -42,8 +46,8 @@ def rounding_zero(p, points):
 
 def check_against_bisection(p, grid):
     """Assert the contract above; return the vertices and the reference's."""
-    points, segments = _march(p, grid, refine=_cubic_crossings)
-    ref_points, ref_segments = _march(p, grid)
+    points, segments = _march(p, grid, partial(_cubic_crossings, p=p))
+    ref_points, ref_segments = _march(p, grid, bisecting(p))
     assert len(points) == len(ref_points)
     assert np.array_equal(segments, ref_segments)
     got, want = _chain(points, segments), _chain(ref_points, ref_segments)
@@ -117,7 +121,7 @@ def test_line_factor_on_a_grid_column_stops_within_the_cap(monkeypatch):
     # every bracket stops on its own test before BISECTION_STEPS: more room
     # to iterate changes no vertex
     monkeypatch.setattr(oracle, "BISECTION_STEPS", 10 * oracle.BISECTION_STEPS)
-    assert np.array_equal(_march(p, grid, refine=_cubic_crossings)[0], points)
+    assert np.array_equal(_march(p, grid, partial(_cubic_crossings, p=p))[0], points)
 
 
 @pytest.mark.parametrize("rising", [True, False])

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from avd import (
     rasterize_diagram,
     validate_curve,
 )
-from avd.tolerances import BISECTION_STEPS, GAP_VERTEX_TOL
+from avd.tolerances import GAP_VERTEX_TOL
 from conftest import random_config
 
 
@@ -144,6 +145,15 @@ class TestGridSpec:
             GridSpec(-1.0, 1.0, -1.5e308, 1.5e308, 16, 16)
         assert GridSpec(-0.8e308, 0.8e308, -1.0, 1.0, 16, 16).xs()[-1] == 0.8e308
 
+    def test_rejects_more_nodes_than_numpy_can_index(self):
+        # a float grid of 2^60 nodes is 2^63 bytes, one more than an intp holds;
+        # a GridSpec allocates nothing, so the largest grid admitted is only built
+        with pytest.raises(ValueError, match="more nodes than numpy can index"):
+            GridSpec(-1.0, 1.0, -1.0, 1.0, 2 ** 30, 2 ** 30)
+        with pytest.raises(ValueError, match="more nodes than numpy can index"):
+            GridSpec(-1.0, 1.0, -1.0, 1.0, 10 ** 300, 2)
+        assert GridSpec(-1.0, 1.0, -1.0, 1.0, 2 ** 30, 2 ** 30 - 1).nx == 2 ** 30
+
 
 class TestGridAxes:
     def test_gap_field_on_axes_matches_meshgrid(self):
@@ -190,15 +200,17 @@ class TestEvaluationCounts:
         fn = CountingField(oracle._gap_field(S1, PARALLEL))
         grid = GridSpec.square(6.0, 64)
         skip = oracle._endpoint_cells(grid, (S1, PARALLEL))
-        points, _ = oracle._march(fn, grid, skip, GAP_VERTEX_TOL)
+        refine = partial(oracle._refine_crossings, s1=S1, s2=PARALLEL)
+        points, _ = oracle._march(fn, grid, refine, skip, GAP_VERTEX_TOL)
         assert len(points) > 0
-        # the grid, every bisection step, the vertex filter, the saddle centres
-        assert fn.calls == 1 + BISECTION_STEPS + 1 + 1 == 63
+        # the grid, the vertex filter and the saddle centres; the bisection
+        # computes the two sites' angles itself
+        assert fn.calls == 3
 
     def test_cubic_march(self, node_config):
         p = CountingPoly(normalize(build_edge(node_config).poly).coeffs)
         grid = GridSpec.canonical_window(node_config, 64)
-        points, _ = oracle._march(p, grid, refine=oracle._cubic_crossings)
+        points, _ = oracle._march(p, grid, partial(oracle._cubic_crossings, p=p))
         assert len(points) > 0
         # the grid and the saddle centres; the crossings are solved on the
         # grid-line cubics

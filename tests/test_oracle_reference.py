@@ -17,9 +17,9 @@ from avd.oracle import (
     _chain,
     _endpoint_cells,
     _march,
-    _refine_crossings,
     _segment_angles,
 )
+from bisection import bisect_crossings, bisecting
 from conftest import random_segment
 
 
@@ -43,7 +43,7 @@ def reference_march(values, xs, ys, fn, skip_cells, vertex_tol):
         s0s.append(sign[iy, ix])
     if not edges:
         return {}, []
-    pts = _refine_crossings(np.array(p0s), np.array(p1s), np.array(s0s), fn)
+    pts = bisect_crossings(np.array(p0s), np.array(p1s), np.array(s0s), fn)
     vertices = {}
     for key, pt in zip(edges, pts):
         if vertex_tol is not None:
@@ -131,7 +131,7 @@ def test_march_and_chain_match_reference(seed, vertex_tol):
     skip = rng.uniform(size=(ny - 1, nx - 1)) < 0.05
 
     ref_vertices, ref_segments = reference_march(values, xs, ys, fn, skip, vertex_tol)
-    points, segments = _march(fn, grid, skip, vertex_tol)
+    points, segments = _march(fn, grid, bisecting(fn), skip, vertex_tol)
     ordered = [ref_vertices[k] for k in sorted(ref_vertices)]
     assert np.array_equal(points, np.array(ordered).reshape(-1, 2))
     assert len(segments) == len(ref_segments) > 0
