@@ -16,7 +16,6 @@ from avd import (
     build_edge,
     classify_edge,
     detect_geometric_degeneracy,
-    extract_bisector,
     implicit_polylines,
     normalize,
     validate_curve,
@@ -69,7 +68,7 @@ def main() -> None:
             pair,
             report.curve_polylines,
             implicit_polylines(normalize(curve.mirror_poly), grid).polylines,
-            extract_bisector(*pair, grid).polylines,
+            report.oracle_polylines,
             cls.singularities,
         )
         path = os.path.join(OUT, f"{name}.svg")

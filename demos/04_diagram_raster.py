@@ -32,8 +32,10 @@ for k, n in zip(labels, counts):
 
 for i in range(len(sites)):
     for j in range(i + 1, len(sites)):
-        vertices = extract_bisector(sites[i], sites[j], grid).vertices()
-        print(f"bisector({i}, {j}): {len(vertices)} oracle vertices")
+        # the whole locus: the arcs of both labelings of site j's endpoints
+        count = sum(len(extract_bisector(sites[i], s, grid).vertices())
+                    for s in (sites[j], Segment(sites[j].e1, sites[j].e0)))
+        print(f"bisector({i}, {j}): {count} oracle vertices")
 
 os.makedirs(OUT, exist_ok=True)
 path = os.path.join(OUT, "diagram.svg")

@@ -333,7 +333,7 @@ def classify_quadratic(curve: EdgeCurve) -> EdgeClass:
     circle. The split lines of a degenerate conic and the asymptotes of the
     irreducible one both have slope product -1, so orthogonality comes with
     the family. Both splits are decided at FACTOR_TOL: b relative to |a|, and
-    the determinant relative to the cube of the table's largest coefficient.
+    det / m^3 as the ratios (b/m) * (rr/m) * ((4 - rr)/m) / 4, m the largest coefficient.
     """
     a, b = curve.config.a, curve.config.b
     rr = a * a + b * b
@@ -344,16 +344,17 @@ def classify_quadratic(curve: EdgeCurve) -> EdgeClass:
             EdgeClassTag.QUAD_TWO_ORTHOGONAL_LINES, lines=(horizontal, vertical)
         )
 
-    det = b * rr * (4.0 - rr) / 4.0
+    m = float(np.abs(curve.poly.coeffs).max())
+    det = (b / m) * (a * (a / m) + b * (b / m)) * ((4.0 - rr) / m) / 4.0
     center = Point(0.5 * a, 0.5 * b)
-    root = math.sqrt(rr)
+    root = math.hypot(a, b)
     # Directions where the quadratic part vanishes: u = mu * v in centered
     # coordinates, mu = (a +- sqrt(a^2 + b^2)) / b.
     mu_pos = (a + root) / b
     mu_neg = (a - root) / b
     d1 = _unit(mu_pos, 1.0)
     d2 = _unit(mu_neg, 1.0)
-    if abs(det) <= FACTOR_TOL * float(np.abs(curve.poly.coeffs).max()) ** 3:
+    if abs(det) <= FACTOR_TOL:
         lines = (
             Line.normalized(-mu_pos, 1.0, 0.5 * (mu_pos * b - a)),
             Line.normalized(-mu_neg, 1.0, 0.5 * (mu_neg * b - a)),

@@ -15,7 +15,7 @@ block's only form, so exact rational direction cosines are expressible;
 alpha is derived from them. A diagram scene with a canonical block is
 malformed.
 
-Frames: class payloads, "validation" and the validation's curve_polylines
+Frames: class payloads, "validation" and its curve and oracle polylines
 are in the canonical frame of the pair; predicate witnesses and the SVG are
 in the world frame; a config "grid" is a world window (validation runs over
 the bounding box of its preimage). Exit codes: 2 malformed config (a JSON
@@ -55,7 +55,6 @@ from .geometry import CanonicalConfig, IdenticalSegments, Segment, canonicalize
 from .oracle import (
     GridSpec,
     ValidationReport,
-    extract_bisector,
     implicit_polylines,
     rasterize_diagram,
     validate_curve,
@@ -268,7 +267,6 @@ def cmd_edge(args) -> int:
 
     branch = classify_edge(curve)
     mirror = classify_edge(curve.mirrored())
-    s1, s2 = config.canonical_s1(), config.canonical_s2()
     # canonical coordinates near 1e153 overflow in the marches' products
     try:
         with np.errstate(over="raise"):
@@ -277,10 +275,10 @@ def cmd_edge(args) -> int:
                 svg = render_edge_scene(
                     view,
                     config.to_world,
-                    [s1, s2],
+                    [config.canonical_s1(), config.canonical_s2()],
                     checked.curve_polylines,
                     implicit_polylines(normalize(curve.mirror_poly), grid).polylines,
-                    extract_bisector(s1, s2, grid).polylines,
+                    checked.oracle_polylines,
                     branch.singularities,
                 )
     except (FloatingPointError, MemoryError) as exc:

@@ -1,13 +1,14 @@
 """Brute-force ground truth for the edge construction.
 
-Everything here works directly from visual angles: a signed angle gap, a
-marching-squares extraction of the equal-angle locus (robust at the singular
-points the classifier cares about, where a curve tracer would need special
-cases), and an n-site raster of the full diagram. The extraction bisects
-every cell-edge crossing of the angle gap, computing both sites' angles as
-_segment_angles does, so its vertices are usable as an independent check of
-the algebraic curve. The same marching squares draws the polynomial curves;
-their crossings are solved on the cubic each takes along the crossed line.
+Everything here works directly from signed visual angles: an angle gap per
+labeling of the second segment, a marching-squares extraction of that
+labeling's equal-angle arcs (robust at the singular points the classifier
+cares about, where a curve tracer would need special cases), and an n-site
+raster of the full diagram. The extraction bisects every cell-edge crossing
+of the gap, computing both sites' angles as _segment_angles does, so its
+vertices check each labeling's cubic apart from the algebra. The same
+marching squares draws the polynomial curves; their crossings are solved on
+the cubic each takes along the crossed line.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ class PolyLineSet:
 
 def _segment_angles(X: np.ndarray, Y: np.ndarray, s: Segment,
                     out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Visual angle of s from every point; NaN at an endpoint or on overflow.
+    """Signed visual angle phi of s from every point, |phi| the visual angle and
+    its sign the turn from e0 to e1 seen there; NaN at an endpoint or on overflow.
 
     out, if given, is a pair of float arrays of the broadcast shape of X and
     Y: the angles are written into out[0] and returned, and out[1] is
@@ -133,11 +135,10 @@ def _segment_angles(X: np.ndarray, Y: np.ndarray, s: Segment,
         shape = np.broadcast_shapes(np.shape(X), np.shape(Y))
         out = (np.empty(shape), np.empty(shape))
     ang, cross = out
-    # cross = d0x * d1y - d0y * d1x, then ang = arctan2(|cross|, dot)
+    # cross = d0x * d1y - d0y * d1x, then ang = arctan2(cross, dot)
     np.multiply(d0x, d1y, out=cross)
     np.multiply(d0y, d1x, out=ang)
     np.subtract(cross, ang, out=cross)
-    np.abs(cross, out=cross)
     np.add(d0x * d1x, d0y * d1y, out=ang)
     np.arctan2(cross, ang, out=ang)
     # e.x - X == 0 exactly when X == e.x, so a point can sit on an endpoint
@@ -149,13 +150,17 @@ def _segment_angles(X: np.ndarray, Y: np.ndarray, s: Segment,
 
 
 def angle_gap(p: Point, s1: Segment, s2: Segment) -> float:
-    """Signed difference of visual angles, theta_p(s1) - theta_p(s2)."""
+    """theta_p(s1) - theta_p(s2), which vanishes on both labelings' arcs."""
     return visual_angle(p, s1) - visual_angle(p, s2)
 
 
 def _gap_field(s1: Segment, s2: Segment) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """phi(s1) + phi(s2) wrapped into (-pi, pi] by exact shifts of 2pi: zero
+    on the genuine arcs of the labeled pair's cubic, jumping across the others."""
     def fn(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return _segment_angles(X, Y, s1) - _segment_angles(X, Y, s2)
+        g = _segment_angles(X, Y, s1) + _segment_angles(X, Y, s2)
+        np.subtract(g, 2.0 * np.pi, out=g, where=g > np.pi)
+        return np.add(g, 2.0 * np.pi, out=g, where=g <= -np.pi)
     return fn
 
 
@@ -166,13 +171,14 @@ def _gap_field(s1: Segment, s2: Segment) -> Callable[[np.ndarray, np.ndarray], n
 def _refine_crossings(
     p0: np.ndarray, p1: np.ndarray, s0: np.ndarray, s1: Segment, s2: Segment
 ) -> np.ndarray:
-    """Bisect theta(s1) - theta(s2) along each bracket [p0_i, p1_i], which lies
+    """Bisect _gap_field(s1, s2) along each bracket [p0_i, p1_i], which lies
     on a grid line, BISECTION_STEPS times, with _segment_angles' angles to the bit.
 
     s0 is the gap's sign at p0 as the grid saw it; exact zeros count as
     positive, as on the grid, and a NaN midpoint (on an endpoint, or overflow)
     as negative. With A = e_free - u, B = e_fixed - fixed for a site's ends e0,
-    e1, the cross product is +-(A0*B1 - B0*A1), the dot A0*A1 + B0*B1: B is
+    e1, swapped on vertical brackets, the cross product A0*B1 - B0*A1 is
+    d0x*d1y - d0y*d1x product for product and the dot is A0*A1 + B0*B1: B is
     computed once, and only an endpoint whose B is 0 can meet a midpoint."""
     n = len(p0)
     horizontal = p0[:, 1] == p1[:, 1]  # the free coordinate is x
@@ -181,24 +187,26 @@ def _refine_crossings(
     du = np.where(horizontal, p1[:, 0], p1[:, 1]) - u0
     # [k, site, bracket]: endpoint k's free coordinate E and fixed difference B
     ends = np.array([[[e.x, e.y] for e in s.endpoints] for s in (s1, s2)]).transpose(1, 0, 2)
-    E = np.where(horizontal, ends[..., :1], ends[..., 1:])
-    B0, B1 = np.where(horizontal, ends[..., 1:], ends[..., :1]) - fixed
+    E = np.where(horizontal, ends[..., :1], ends[::-1, :, 1:])
+    B0, B1 = np.where(horizontal, ends[..., 1:], ends[::-1, :, :1]) - fixed
     BB, on_line = B0 * B1, (B0 == 0, B1 == 0)
     check_ends = on_line[0].any() or on_line[1].any()
-    lo, hi, mid, u, take = np.zeros(n), np.ones(n), np.empty(n), np.empty(n), np.empty(n, bool)
-    A, (cross, dot) = np.empty((2, 2, n)), np.empty((2, 2, n))
+    lo, hi, mid, u, g = np.zeros(n), np.ones(n), np.empty(n), np.empty(n), np.empty(n)
+    A, (cross, dot), (take, m) = np.empty((2, 2, n)), np.empty((2, 2, n)), np.empty((2, n), bool)
     for _ in range(BISECTION_STEPS):
         np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
         np.add(u0, np.multiply(mid, du, out=u), out=u)
         np.subtract(E, u, out=A)
         np.subtract(np.multiply(A[0], B1, out=cross), np.multiply(B0, A[1], out=dot), out=cross)
-        np.abs(cross, out=cross)
         np.add(np.multiply(A[0], A[1], out=dot), BB, out=dot)
         np.arctan2(cross, dot, out=cross)
         if check_ends:
             np.copyto(cross, np.nan, where=(on_line[0] & (A[0] == 0)) | (on_line[1] & (A[1] == 0)))
-        # theta(s1) - theta(s2) >= 0 exactly when theta(s1) >= theta(s2)
-        np.equal(np.greater_equal(cross[0], cross[1], out=take), s0, out=take)
+        # g = phi(s1) + phi(s2) in [-2pi, 2pi] wraps to >= 0 on [0, pi], [-2pi, -pi] and at 2pi
+        np.add(cross[0], cross[1], out=g)
+        np.not_equal(np.greater_equal(g, 0.0, out=take), np.greater(g, np.pi, out=m), out=take)
+        np.not_equal(take, np.greater_equal(g, 2.0 * np.pi, out=m), out=take)
+        np.equal(np.logical_or(take, np.less_equal(g, -np.pi, out=m), out=take), s0, out=take)
         np.putmask(lo, take, mid)
         np.putmask(hi, np.logical_not(take, out=take), mid)
     points = np.column_stack([u0 + 0.5 * (lo + hi) * du, fixed])  # (free, fixed)
@@ -416,10 +424,19 @@ def _endpoint_cells(grid: GridSpec, segments: Sequence[Segment]) -> np.ndarray:
     return mask
 
 
-def extract_bisector(s1: Segment, s2: Segment, grid: GridSpec) -> PolyLineSet:
-    """Equal-visual-angle locus as polylines.
+def _in_cells(grid: GridSpec, cells: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Whether each point of the window lies in the closed box of a cell set in cells."""
+    (y0, y1), (x0, x1) = ([np.clip(np.searchsorted(axis, c, side) - 1, 0, len(axis) - 2)
+                           for side in ("left", "right")]
+                          for axis, c in ((grid.ys(), points[:, 1]), (grid.xs(), points[:, 0])))
+    return cells[y0, x0] | cells[y0, x1] | cells[y1, x0] | cells[y1, x1]
 
-    Marching squares on the sign of the angle gap; every cell-edge crossing
+
+def extract_bisector(s1: Segment, s2: Segment, grid: GridSpec) -> PolyLineSet:
+    """Equal-visual-angle arcs of the labeled pair (s1, s2) as polylines; s2
+    reversed gives the other labeling's arcs.
+
+    Marching squares on the sign of _gap_field; every cell-edge crossing
     is bisected by _refine_crossings and kept only where the gap there is
     at most GAP_VERTEX_TOL, which drops the sign changes across its jumps.
     Cells containing a segment endpoint are skipped (the gap is
@@ -468,7 +485,7 @@ def rasterize_diagram(sites: Sequence[Segment], grid: GridSpec) -> LabeledRaster
         best.fill(np.inf)
         second.fill(np.inf)
         for k, s in enumerate(sites):
-            _segment_angles(X, Y, s, out=(angle, scratch))
+            np.abs(_segment_angles(X, Y, s, out=(angle, scratch)), out=angle)
             np.less(angle, best, out=closer)
             np.minimum(second, np.maximum(best, angle, out=scratch), out=second)
             np.copyto(best, angle, where=closer)
@@ -486,30 +503,27 @@ def rasterize_diagram(sites: Sequence[Segment], grid: GridSpec) -> LabeledRaster
 class ValidationReport:
     """Two-way comparison of oracle locus and algebraic curve.
 
-    containment_residual is the worst, over oracle vertices, of the smaller
-    normalized polynomial magnitude across the two labeling branches; the
-    curve family must contain the equal-angle locus, but which branch carries
-    a given arc depends on the endpoint labeling, so the branch pair is what
-    containment is measured against. convention_residual reports the curve's
-    own branch alone. realized_fraction measures the converse direction:
-    how much of the algebraic curve is genuinely equal-angle (the rest are
+    containment_residual is the largest normalized |F| of either labeling's
+    polynomial, the branch's or the mirror's, at its own oracle vertices
+    (extract_bisector on its labeled pair); oracle_vertex_count counts both
+    labelings' vertices. realized_fraction measures the converse direction:
+    how much of the branch curve is genuinely equal-angle (the rest are
     supplementary-angle artifacts, flagged, not failed).
     """
 
     containment_residual: float
-    convention_residual: float
     oracle_vertex_count: int
     curve_sample_count: int
     realized_fraction: float
-    mirror_only_vertices: int
     carrier_line_nodes: int
     containment_tol: float
     angle_tol: float
     passed: bool
     notes: tuple[str, ...] = field(default_factory=tuple)
-    #: the branch curve chained into polylines, as implicit_polylines gives
-    #: it; in memory only, not serialized or compared
+    #: the branch curve's chains, as implicit_polylines gives them, and the
+    #: oracle's, the branch's then the mirror's; in memory only, not compared
     curve_polylines: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
+    oracle_polylines: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
@@ -535,64 +549,51 @@ def validate_curve(
     grid: GridSpec,
     containment_tol: float = CONTAINMENT_TOL,
 ) -> ValidationReport:
-    """Check the edge polynomial against the brute-force locus on a window.
+    """Check both labelings' polynomials against the brute-force locus on a window.
 
     Everything happens in the canonical frame: grid is a canonical window,
-    and the oracle marches the config's canonical segments, which see every
-    point at the angles the world pair sees its image at. A curve sample
-    counts as genuinely equal-angle when its angle gap is within ANGLE_TOL,
-    and the oracle vertices pass when the branch pair vanishes there within
-    containment_tol. The samples are the vertices of one march of the branch
-    polynomial, with its crossings solved on its grid-line cubics, as
-    implicit_polylines does; its chains are kept as the report's
-    curve_polylines, so a renderer need not march the branch again.
+    and the oracle marches the canonical pairs of curve's config and of
+    curve.mirrored()'s (s2 reversed), which see every point at the angles
+    the world pair sees its image at. The oracle vertices pass when each
+    labeling's own polynomial vanishes there within containment_tol. A
+    sample of the branch, a vertex of one march of its polynomial as
+    implicit_polylines does it, counts as genuinely equal-angle when its gap
+    is within ANGLE_TOL; samples on the edges of endpoint cells, where the
+    gap jumps and the oracle skips, are not counted. The report keeps the
+    oracle's chains and this march's, so a renderer need not march again.
 
     When neither locus meets the window both counts are 0, both notes are
     set, and the report passes vacuously.
     """
-    s1, s2 = curve.config.canonical_s1(), curve.config.canonical_s2()
-    p_conv = normalize(curve.poly)
-    p_mirr = normalize(curve.mirror_poly)
-
-    notes: list[str] = []
-    oracle_vertices = extract_bisector(s1, s2, grid).vertices()
-    if not len(oracle_vertices):
+    polys = normalize(curve.poly), normalize(curve.mirror_poly)
+    residuals, oracle_polylines, notes = [], (), []
+    for labeled, p in zip((curve, curve.mirrored()), polys):
+        locus = extract_bisector(labeled.config.canonical_s1(), labeled.config.canonical_s2(), grid)
+        residuals.append(np.abs(p(*locus.vertices().T)))
+        oracle_polylines += locus.polylines
+    residual = np.concatenate(residuals)
+    if not len(residual):
         notes.append("oracle locus missed the window or produced no sign change")
 
-    samples, segments = _march(p_conv, grid, partial(_cubic_crossings, p=p_conv))
-    if len(oracle_vertices):
-        rc = np.abs(p_conv(oracle_vertices[:, 0], oracle_vertices[:, 1]))
-        rm = np.abs(p_mirr(oracle_vertices[:, 0], oracle_vertices[:, 1]))
-        pair = np.minimum(rc, rm)
-        containment = float(pair.max())
-        convention = float(rc.max())
-        mirror_only = int(np.sum((rc > containment_tol) & (pair <= containment_tol)))
-    else:
-        containment = 0.0
-        convention = 0.0
-        mirror_only = 0
-
-    realized = 0.0
-    gap_fn = _gap_field(s1, s2)
-    if len(samples):
-        gaps = gap_fn(samples[:, 0], samples[:, 1])
-        ok = np.isfinite(gaps)
-        if ok.any():
-            realized = float(np.mean(np.abs(gaps[ok]) <= ANGLE_TOL))
-    else:
+    s1, s2 = curve.config.canonical_s1(), curve.config.canonical_s2()
+    samples, segments = _march(polys[0], grid, partial(_cubic_crossings, p=polys[0]))
+    if not len(samples):
         notes.append("algebraic curve missed the window")
+    gaps = _gap_field(s1, s2)(samples[:, 0], samples[:, 1])
+    ok = np.isfinite(gaps) & ~_in_cells(grid, _endpoint_cells(grid, (s1, s2)), samples)
+    realized = float(np.mean(np.abs(gaps[ok]) <= ANGLE_TOL)) if ok.any() else 0.0
 
+    containment = float(residual.max(initial=0.0))
     return ValidationReport(
         containment_residual=containment,
-        convention_residual=convention,
-        oracle_vertex_count=int(len(oracle_vertices)),
+        oracle_vertex_count=int(len(residual)),
         curve_sample_count=int(len(samples)),
         realized_fraction=realized,
-        mirror_only_vertices=mirror_only,
         carrier_line_nodes=_carrier_line_nodes(grid, (s1, s2)),
         containment_tol=containment_tol,
         angle_tol=ANGLE_TOL,
         passed=containment <= containment_tol,
         notes=tuple(notes),
         curve_polylines=_chain(samples, segments),
+        oracle_polylines=oracle_polylines,
     )

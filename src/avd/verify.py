@@ -386,7 +386,7 @@ def run_containment(seed: int) -> ScenarioResult:
     ok = ok and worst <= 1e-5
     return ScenarioResult(
         "containment",
-        "equal-angle vertices lie on the labeling branch pair (<= 1e-5)",
+        "each labeling's equal-angle vertices lie on its own branch (<= 1e-5)",
         f"max residual {worst:.2e}",
         worst,
         ok,

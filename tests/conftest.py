@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from avd import BivariatePoly, CanonicalConfig, Point, Segment, canonicalize, jet, verify
+from avd import (
+    BivariatePoly,
+    CanonicalConfig,
+    Point,
+    Segment,
+    canonicalize,
+    extract_bisector,
+    jet,
+    verify,
+)
 from avd.edge import _edge_coefficient_table
 from avd.verify import NODE_CONFIG
 
@@ -32,6 +41,13 @@ def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     i, j = np.indices(full.shape)
     assert not full[i + j > 3].any(), "product exceeds total degree three"
     return full[:4, :4]
+
+
+def equal_angle_vertices(s1: Segment, s2: Segment, grid) -> np.ndarray:
+    """Oracle vertices of the whole locus theta(s1) = theta(s2): the union of
+    both labelings' arcs, extract_bisector on s2 and on s2 reversed."""
+    return np.vstack([extract_bisector(s1, s, grid).vertices()
+                      for s in (s2, Segment(s2.e1, s2.e0))])
 
 
 @pytest.fixture

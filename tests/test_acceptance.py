@@ -17,7 +17,6 @@ from avd import (
     CanonicalConfig,
     GridSpec,
     build_edge,
-    extract_bisector,
     jet,
     leading_coefficients,
     normalize,
@@ -32,6 +31,7 @@ from avd.verify import (
     run_orthocross,
     run_shared_endpoint,
 )
+from conftest import equal_angle_vertices
 
 SEED = 987654321
 
@@ -99,8 +99,7 @@ def test_oracle_containment():
         if curve.poly.coefficient(0, 3) != top or curve.poly.coefficient(3, 0) != side:
             ok = False
         grid = GridSpec.canonical_window(cfg, 512)
-        vertices = extract_bisector(cfg.canonical_s1(), cfg.canonical_s2(),
-                                    grid).vertices()
+        vertices = equal_angle_vertices(cfg.canonical_s1(), cfg.canonical_s2(), grid)
         if not len(vertices):
             skipped += 1
             continue

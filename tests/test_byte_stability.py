@@ -27,6 +27,15 @@ writing -0.0: the mirror branch's line x = 1 now reports "u": 0.0 (was
 45ff69d7...; the SVG, generic and diagram digests did not change. The
 polynomial marches' crossings moved from bisection to Newton steps on the
 grid-line cubic at the same time, and no digest here moved with them.
+Both edge scenes were re-pinned when the oracle began to march one signed
+angle field per labeling, wrap(phi(s1) + phi(s2)) for s2 as given and
+reversed, and to check each labeling's polynomial against its own vertices:
+the report lost convention_residual and mirror_only_vertices, its
+containment residual, vertex count and realized fraction (now skipping the
+samples in endpoint cells) changed, and the SVG draws both labelings' oracle
+chains. Node: report 45ff69d7... to 0e71d91d..., SVG 6e9990a7... to
+987e950c...; generic: report ad19ae8e... to 6f2d1174..., SVG 289da577... to
+ebc39151.... The diagram and predicate digests did not change.
 The predicate digest pins the tags and the witness bits of
 detect_geometric_degeneracy over a fixed draw set; it was recorded before
 the predicates were rewritten around one endpoint distance table. A change
@@ -49,10 +58,10 @@ from conftest import FAMILIES, NODE_PAIR, random_segment
 GENERIC_PAIR = [[[-1.3, 0.4], [0.9, 1.7]], [[0.2, -1.1], [2.4, 0.3]]]
 
 EDGE_DIGESTS = {
-    "node": ("45ff69d7ee24293cf645a045bb1cbbb26e3fd3df4d8ea94083efaaf520555517",
-             "6e9990a70a170ea6df547135d14c4afd0b27068107f0f3d666c93525fa07b5cd"),
-    "generic": ("ad19ae8eda1558b6cb892b839e137a7b67008e132e696089c308e53064bf3222",
-                "289da5771b0cfbb918e4103ecd0195e01f25401b233ef37da0063aca67089594"),
+    "node": ("0e71d91dd413466e5197287fb5dff921dd3a7936f2789f6689cc1d25b7c9f0b1",
+             "987e950c144c36ccb7c7c7ca7a66ad6293e43a7ebebd3c2ccbe3db04fadb1304"),
+    "generic": ("6f2d11747acfd41996ee975f8b3929f489de75a45dbd0cbb68ba3273e1db0bd3",
+                "ebc39151dc6f25e13a2c08f6b2601ea1b89ae7282f47393aa2dd81f8446867b2"),
 }
 LABELS_DIGEST = "c1860674c9fc569200d47027cb34a9decc84241fad58dd8843f71012c38a01f2"
 DIAGRAM_SVG_DIGEST = "ef799a9f6406e253f489728e3d15e5bec63ad13152407f8c2ae71b24adb845df"

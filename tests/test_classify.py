@@ -454,6 +454,18 @@ class TestClassifyQuadratic:
             assert q.tag is EdgeClassTag.QUAD_IRREDUCIBLE_HYPERBOLA
             assert q.hyperbola.center == Point(a / 2, b / 2)
 
+    @pytest.mark.parametrize("b", [1e-100, 1e-170, 1e-310])
+    def test_tiny_offset_is_a_hyperbola(self, b):
+        # a = 0: the conic is b * (x^2 - y^2 + b*y - 1), a rectangular
+        # hyperbola. From b = 1e-170 its determinant b * rr * (4 - rr) / 4,
+        # rr = b^2 and the table's largest coefficient cubed all underflow to
+        # 0, so the split is decided on their ratios
+        q = classify_edge(build_edge(CanonicalConfig(0.0, b, 1.0, 0.0, -1.0)))
+        assert q.tag is EdgeClassTag.QUAD_IRREDUCIBLE_HYPERBOLA
+        assert q.hyperbola.center == Point(0.0, b / 2)
+        d1, d2 = q.hyperbola.asymptotes
+        assert d1 != d2 and abs(d1[0] * d2[0] + d1[1] * d2[1]) <= 1e-12
+
 
 class TestClassifyEdge:
     def test_node_showcase(self, node_config):

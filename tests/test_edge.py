@@ -10,12 +10,11 @@ from avd import (
     ZeroPolynomial,
     build_edge,
     classify_edge,
-    extract_bisector,
     leading_coefficients,
     normalize,
 )
 from avd.tolerances import DEGREE_TOL
-from conftest import random_config
+from conftest import equal_angle_vertices, random_config
 
 # Ten agreed coefficients of the node-showcase cubic, graded-lex order.
 NODE_COEFFS = {
@@ -185,9 +184,9 @@ class TestOracleContainment:
         # as-written branch, nonnegative ones on the relabeled branch.
         cfg = random_config(rng)
         curve = build_edge(cfg)
-        vertices = extract_bisector(
+        vertices = equal_angle_vertices(
             cfg.canonical_s1(), cfg.canonical_s2(), GridSpec.canonical_window(cfg, 192)
-        ).vertices()
+        )
         if not len(vertices):
             pytest.skip("locus missed the window for this draw")
         pc = normalize(curve.poly)
@@ -208,8 +207,7 @@ class TestOracleContainment:
             cfg = random_config(rng)
             curve = build_edge(cfg)
             grid = GridSpec.canonical_window(cfg, 128)
-            vertices = extract_bisector(cfg.canonical_s1(), cfg.canonical_s2(),
-                                        grid).vertices()
+            vertices = equal_angle_vertices(cfg.canonical_s1(), cfg.canonical_s2(), grid)
             if not len(vertices):
                 continue
             pc = normalize(curve.poly)

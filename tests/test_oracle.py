@@ -24,7 +24,7 @@ from avd import (
     validate_curve,
 )
 from avd.tolerances import GAP_VERTEX_TOL
-from conftest import random_config
+from conftest import equal_angle_vertices, random_config
 
 
 def cell_diagonal(grid: GridSpec) -> float:
@@ -66,16 +66,16 @@ class TestAngleGap:
 class TestExtractBisector:
     def test_parallel_pair_traces_branch_pair(self):
         grid = GridSpec.square(6.0, 256)
-        pls = extract_bisector(S1, PARALLEL, grid)
-        V = pls.vertices()
+        V = equal_angle_vertices(S1, PARALLEL, grid)
         assert len(V) > 100
         conic = conic_for_parallel_pair(1.0, 1.0)
         curve = build_edge(canonicalize(S1, PARALLEL))
         other = normalize(curve.poly)
         r_conic = np.abs(conic(V[:, 0], V[:, 1]))
         r_pair = np.minimum(r_conic, np.abs(other(V[:, 0], V[:, 1])))
-        # the full locus lies on the two labeling branches together; the
-        # conic carries the arcs outside the strip between the segments
+        # the full locus, both labelings' arcs, lies on the two labeling
+        # branches together; the conic carries the arcs outside the strip
+        # between the segments
         assert r_pair.max() <= 1e-5
         assert np.mean(r_conic <= 1e-5) > 0.4
 
@@ -87,18 +87,28 @@ class TestExtractBisector:
 
     def test_mirror_symmetric_pair_gives_midline(self):
         grid = GridSpec.square(8.0, 128)
-        pls = extract_bisector(S1, MIRROR_TWIN, grid)
-        V = pls.vertices()
-        assert len(V) > 20
-        assert np.abs(V[:, 0] - 2.0).max() <= 1e-9
+        V = equal_angle_vertices(S1, MIRROR_TWIN, grid)
+        # off the shared carrier line the locus is the midline; on it, both
+        # angles are 0 outside the segments and the gap jumps inside either
+        off_axis = V[np.abs(V[:, 1]) > 1e-12]
+        assert len(off_axis) > 20
+        assert np.abs(off_axis[:, 0] - 2.0).max() <= 1e-9
+        on_axis = V[np.abs(V[:, 1]) <= 1e-12, 0]
+        inside = ((-1.0 < on_axis) & (on_axis < 1.0)) | ((3.0 < on_axis) & (on_axis < 5.0))
+        assert len(on_axis) > 20 and not inside.any()
 
-    def test_contained_collinear_pair_has_no_sign_change(self):
-        # second segment inside the first: the gap is nonnegative everywhere,
-        # so there is nothing for a sign-based extraction to find
+    def test_contained_collinear_pair_traces_the_shared_carrier(self):
+        # second segment inside the first: theta(s1) > theta(s2) off the
+        # x axis, so the unsigned gap never changes sign, but each labeling's
+        # signed gap does across the axis where both angles are 0 (outside
+        # s1) or both pi (along the inner segment); where s1 alone is seen at
+        # pi the gap jumps by pi and no vertex is kept
         inner = Segment.of((0.0, 0.0), (1.0, 0.0))
-        got = extract_bisector(S1, inner, GridSpec.square(4.0, 96))
-        assert got.polylines == ()
-        assert got.vertices().shape == (0, 2)
+        for s2 in (inner, Segment(inner.e1, inner.e0)):
+            V = extract_bisector(S1, s2, GridSpec.square(4.0, 96)).vertices()
+            assert len(V) > 80
+            assert np.abs(V[:, 1]).max() <= 1e-15
+            assert not ((-1.0 < V[:, 0]) & (V[:, 0] < 0.0)).any()
 
     def test_disjoint_collinear_pair_realizes_circle(self):
         # half-length 1/2 partner centered at (3, 0): the off-axis locus is
@@ -107,7 +117,7 @@ class TestExtractBisector:
         a, l = 3.0, 0.5
         s2 = Segment.of((a - l, 0.0), (a + l, 0.0))
         grid = GridSpec(-2.0, 12.0, -7.0, 7.0, 256, 256)
-        V = extract_bisector(S1, s2, grid).vertices()
+        V = equal_angle_vertices(S1, s2, grid)
         off_axis = V[np.abs(V[:, 1]) > 1e-3]
         assert len(off_axis) > 50
         residual = (
@@ -247,8 +257,7 @@ class TestRasterize:
     def test_boundary_cells_hug_bisector(self):
         grid = GridSpec.square(6.0, 128)
         raster = rasterize_diagram([S1, PARALLEL], grid)
-        pls = extract_bisector(S1, PARALLEL, grid)
-        V = pls.vertices()
+        V = equal_angle_vertices(S1, PARALLEL, grid)
         xs, ys = grid.xs(), grid.ys()
         labels = raster.labels
         transitions = []
@@ -275,9 +284,7 @@ class TestRasterize:
         pair_vertices = {}
         for i in range(3):
             for j in range(i + 1, 3):
-                pair_vertices[(i, j)] = extract_bisector(
-                    sites[i], sites[j], grid
-                ).vertices()
+                pair_vertices[(i, j)] = equal_angle_vertices(sites[i], sites[j], grid)
         xs, ys = grid.xs(), grid.ys()
         labels = raster.labels
         diag = cell_diagonal(grid)

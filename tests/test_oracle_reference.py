@@ -192,7 +192,7 @@ def test_endpoint_cells_match_reference(seed):
 
 def reference_labels(sites, grid, tie_tol=1e-12):
     X, Y = np.meshgrid(grid.xs(), grid.ys())
-    angles = np.stack([_segment_angles(X, Y, s) for s in sites])
+    angles = np.abs(np.stack([_segment_angles(X, Y, s) for s in sites]))
     invalid = np.isnan(angles).any(axis=0)
     filled = np.where(np.isnan(angles), np.inf, angles)
     order = np.sort(filled, axis=0)
