@@ -15,18 +15,20 @@ block's only form, so exact rational direction cosines are expressible;
 alpha is derived from them. A diagram scene with a canonical block is
 malformed.
 
-Frames: class payloads, "validation" and its curve and oracle polylines
-are in the canonical frame of the pair; predicate witnesses and the SVG are
-in the world frame; a config "grid" is a world window (validation runs over
-the bounding box of its preimage). Exit codes: 2 malformed config (a JSON
-boolean is not a number), or a scene out of range for doubles (segments
-whose extent overflows, a canonical s2 whose endpoints round together, a
-pair whose s2 rounds to a point in the canonical frame, an edge table that
-overflows, an edge window (default or scene grid) whose image in the other
-frame overflows, an edge whose oracle or SVG marches overflow, a default
-diagram window that does, a diagram whose angle products overflow or
-underflow, a diagram site whose SVG pixel coordinates overflow, or a grid
-too large to index or allocate);
+Frames: class payloads, "validation" and its curve and oracle polylines are
+in the canonical frame of the pair; predicate witnesses and the SVG are in
+the world frame; a config "grid" is a world window (validation runs over the
+bounding box of its preimage). Neither "validation" nor the diagram summary
+echoes a fixed constant or the --svg path. Exit codes: 2 malformed config
+(not UTF-8 JSON, nested past the parser's depth, a JSON boolean for a
+number, or an integer too large for a double), or a scene out of range for
+doubles (segments whose extent overflows, a canonical s2 whose endpoints
+round together, a pair whose s2 rounds to a point in the canonical frame, an
+edge table that overflows, an edge window (default or scene grid) whose
+image in the other frame overflows, an edge whose oracle or SVG marches
+overflow, a default diagram window that does, a diagram whose angle products
+overflow or underflow, a diagram site whose SVG pixel coordinates overflow,
+or a grid too large to index or allocate);
 3 identical segments, to 1e-12 of the pair's diameter (or a canonical block
 whose s2 is s1, or two coincident diagram sites); 4 internal anomaly (a
 cubic whose partials share a component, or whose Laplacian is constant).
@@ -92,7 +94,10 @@ class SceneConfig:
 def _number(value) -> float:
     if isinstance(value, bool):  # float() would read JSON false and true as 0 and 1
         raise TypeError(f"expected a number, got {json.dumps(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # a JSON integer literal beyond the doubles
+        raise ValueError(str(exc)) from None
 
 
 def _parse_grid(obj) -> GridSpec:
@@ -130,7 +135,7 @@ def load_scene(path: str) -> SceneConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -334,7 +339,6 @@ def cmd_diagram(args) -> int:
             str(int(k)): int(n) for k, n in zip(labels, counts) if k >= 0
         },
         "boundary_cells": int(counts[labels < 0].sum()) if (labels < 0).any() else 0,
-        "svg": args.svg,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK

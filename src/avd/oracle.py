@@ -26,7 +26,6 @@ from .poly import BivariatePoly, normalize
 from .tolerances import (
     ANGLE_TOL,
     BISECTION_STEPS,
-    CARRIER_LINE_TOL,
     CONTAINMENT_TOL,
     CROSSING_ULPS,
     GAP_VERTEX_TOL,
@@ -506,7 +505,8 @@ class ValidationReport:
     containment_residual is the largest normalized |F| of either labeling's
     polynomial, the branch's or the mirror's, at its own oracle vertices
     (extract_bisector on its labeled pair); oracle_vertex_count counts both
-    labelings' vertices. realized_fraction measures the converse direction:
+    labelings' vertices, and passed says whether the residual is within
+    containment_tol. realized_fraction measures the converse direction:
     how much of the branch curve is genuinely equal-angle (the rest are
     supplementary-angle artifacts, flagged, not failed).
     """
@@ -515,33 +515,15 @@ class ValidationReport:
     oracle_vertex_count: int
     curve_sample_count: int
     realized_fraction: float
-    carrier_line_nodes: int
     containment_tol: float
-    angle_tol: float
     passed: bool
-    notes: tuple[str, ...] = field(default_factory=tuple)
     #: the branch curve's chains, as implicit_polylines gives them, and the
     #: oracle's, the branch's then the mirror's; in memory only, not compared
     curve_polylines: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
     oracle_polylines: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
-        out["notes"] = list(self.notes)
-        return out
-
-
-def _carrier_line_nodes(grid: GridSpec, segments: Sequence[Segment]) -> int:
-    """Grid nodes lying on a site's carrier line, where the visual angle sits
-    at an extreme value (0 or pi). Counted and reported, processed normally."""
-    X, Y = grid.xs()[None, :], grid.ys()[:, None]
-    on_any = np.zeros((grid.ny, grid.nx), dtype=bool)
-    for s in segments:
-        dx, dy = s.e1.x - s.e0.x, s.e1.y - s.e0.y
-        norm = math.hypot(dx, dy)
-        dist = ((X - s.e0.x) * dy - (Y - s.e0.y) * dx) / norm
-        on_any |= np.abs(dist) <= CARRIER_LINE_TOL * max(1.0, norm)
-    return int(on_any.sum())
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
 
 def validate_curve(
@@ -562,23 +544,19 @@ def validate_curve(
     gap jumps and the oracle skips, are not counted. The report keeps the
     oracle's chains and this march's, so a renderer need not march again.
 
-    When neither locus meets the window both counts are 0, both notes are
-    set, and the report passes vacuously.
+    When neither locus meets the window both counts are 0 and the report
+    passes vacuously.
     """
     polys = normalize(curve.poly), normalize(curve.mirror_poly)
-    residuals, oracle_polylines, notes = [], (), []
+    residuals, oracle_polylines = [], ()
     for labeled, p in zip((curve, curve.mirrored()), polys):
         locus = extract_bisector(labeled.config.canonical_s1(), labeled.config.canonical_s2(), grid)
         residuals.append(np.abs(p(*locus.vertices().T)))
         oracle_polylines += locus.polylines
     residual = np.concatenate(residuals)
-    if not len(residual):
-        notes.append("oracle locus missed the window or produced no sign change")
 
     s1, s2 = curve.config.canonical_s1(), curve.config.canonical_s2()
     samples, segments = _march(polys[0], grid, partial(_cubic_crossings, p=polys[0]))
-    if not len(samples):
-        notes.append("algebraic curve missed the window")
     gaps = _gap_field(s1, s2)(samples[:, 0], samples[:, 1])
     ok = np.isfinite(gaps) & ~_in_cells(grid, _endpoint_cells(grid, (s1, s2)), samples)
     realized = float(np.mean(np.abs(gaps[ok]) <= ANGLE_TOL)) if ok.any() else 0.0
@@ -589,11 +567,8 @@ def validate_curve(
         oracle_vertex_count=int(len(residual)),
         curve_sample_count=int(len(samples)),
         realized_fraction=realized,
-        carrier_line_nodes=_carrier_line_nodes(grid, (s1, s2)),
         containment_tol=containment_tol,
-        angle_tol=ANGLE_TOL,
         passed=containment <= containment_tol,
-        notes=tuple(notes),
         curve_polylines=_chain(samples, segments),
         oracle_polylines=oracle_polylines,
     )

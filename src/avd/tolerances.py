@@ -36,8 +36,6 @@ BISECTION_STEPS = 60
 CROSSING_ULPS = 4.0
 #: nodes whose two smallest visual angles differ by at most this are boundary nodes
 TIE_TOL = 1e-12
-#: distance from a site's carrier line, over max(1, site length), that counts as on it
-CARRIER_LINE_TOL = 1e-9
 #: angle gap within which a curve sample is genuinely equal-angle
 ANGLE_TOL = 1e-6
 #: largest normalized polynomial value at an oracle vertex that passes (scene "containment")

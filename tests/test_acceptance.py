@@ -17,6 +17,7 @@ from avd import (
     CanonicalConfig,
     GridSpec,
     build_edge,
+    extract_bisector,
     jet,
     leading_coefficients,
     normalize,
@@ -31,7 +32,6 @@ from avd.verify import (
     run_orthocross,
     run_shared_endpoint,
 )
-from conftest import equal_angle_vertices
 
 SEED = 987654321
 
@@ -99,17 +99,17 @@ def test_oracle_containment():
         if curve.poly.coefficient(0, 3) != top or curve.poly.coefficient(3, 0) != side:
             ok = False
         grid = GridSpec.canonical_window(cfg, 512)
-        vertices = equal_angle_vertices(cfg.canonical_s1(), cfg.canonical_s2(), grid)
-        if not len(vertices):
+        # each labeling's oracle vertices against that labeling's own polynomial
+        labelings = [
+            (extract_bisector(c.config.canonical_s1(), c.config.canonical_s2(), grid).vertices(),
+             normalize(c.poly))
+            for c in (curve, curve.mirrored())
+        ]
+        if not any(len(vertices) for vertices, _ in labelings):
             skipped += 1
             continue
-        pc = normalize(curve.poly)
-        pm = normalize(curve.mirror_poly)
-        res = np.minimum(
-            np.abs(pc(vertices[:, 0], vertices[:, 1])),
-            np.abs(pm(vertices[:, 0], vertices[:, 1])),
-        )
-        worst = max(worst, float(res.max()))
+        for vertices, p in labelings:
+            worst = max(worst, float(np.abs(p(vertices[:, 0], vertices[:, 1])).max(initial=0.0)))
     ok = ok and worst <= 1e-5 and skipped <= 5
     _report(
         "oracle-containment", ok,

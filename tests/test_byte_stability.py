@@ -4,9 +4,10 @@ The diagram digest was recorded with the stacked, fully sorted rasterizer,
 before it was vectorized. The edge digests of these two world-frame scenes
 were recorded when `avd edge` moved to the canonical frame: validation runs
 over the canonical window and the SVG maps everything through `to_world`.
-The diagram SVG digest and the `avd diagram` summary digest (its `svg` path
-key dropped) were recorded with the per-cell `render_diagram` loop, before
-the renderer found its runs with numpy and formatted per-axis string tables.
+The diagram SVG digest and the `avd diagram` summary digest (with its `svg`
+path key left out, a key the summary has since lost) were recorded with the
+per-cell `render_diagram` loop, before the renderer found its runs with
+numpy and formatted per-axis string tables.
 The node report was re-pinned when classify_edge began to search an edge's
 singular points on its Laplacian line: the polished node moved from
 (-0.9999999999999999, 2.0000000000000013) to (-1.0, 2.000000000000001),
@@ -36,6 +37,12 @@ samples in endpoint cells) changed, and the SVG draws both labelings' oracle
 chains. Node: report 45ff69d7... to 0e71d91d..., SVG 6e9990a7... to
 987e950c...; generic: report ad19ae8e... to 6f2d1174..., SVG 289da577... to
 ebc39151.... The diagram and predicate digests did not change.
+Both report digests were re-pinned when the validation record dropped what
+the run did not decide: the carrier_line_nodes census, the angle_tol echo
+of a fixed constant and the notes that restated zero counts. Node report
+0e71d91d... to 56e7e5be..., generic report 6f2d1174... to 29512de4...;
+no value that stayed moved, and the SVG, diagram and predicate digests did
+not change.
 The predicate digest pins the tags and the witness bits of
 detect_geometric_degeneracy over a fixed draw set; it was recorded before
 the predicates were rewritten around one endpoint distance table. A change
@@ -58,9 +65,9 @@ from conftest import FAMILIES, NODE_PAIR, random_segment
 GENERIC_PAIR = [[[-1.3, 0.4], [0.9, 1.7]], [[0.2, -1.1], [2.4, 0.3]]]
 
 EDGE_DIGESTS = {
-    "node": ("0e71d91dd413466e5197287fb5dff921dd3a7936f2789f6689cc1d25b7c9f0b1",
+    "node": ("56e7e5bec8f0a307c8db4b9f70f0df64984c33083da6749b1b51cea46a7683ae",
              "987e950c144c36ccb7c7c7ca7a66ad6293e43a7ebebd3c2ccbe3db04fadb1304"),
-    "generic": ("6f2d11747acfd41996ee975f8b3929f489de75a45dbd0cbb68ba3273e1db0bd3",
+    "generic": ("29512de46b4e0f617a9238e3aa1f8fd9736562164780ace5ed586c9be8b728f2",
                 "ebc39151dc6f25e13a2c08f6b2601ea1b89ae7282f47393aa2dd81f8446867b2"),
 }
 LABELS_DIGEST = "c1860674c9fc569200d47027cb34a9decc84241fad58dd8843f71012c38a01f2"
@@ -108,7 +115,6 @@ def test_diagram_summary_bytes(tmp_path, capsys):
     ))
     assert main(["diagram", str(scene), "--svg", str(tmp_path / "d.svg")]) == EXIT_OK
     summary = json.loads(capsys.readouterr().out)
-    del summary["svg"]
     text = json.dumps(summary, indent=2, sort_keys=True)
     assert _sha(text.encode()) == DIAGRAM_SUMMARY_DIGEST
 

@@ -30,7 +30,7 @@ from avd.cli import (
     main,
 )
 from avd.svg import CURVE_COLOR
-from avd.tolerances import ANGLE_TOL, CONTAINMENT_TOL
+from avd.tolerances import CONTAINMENT_TOL
 from conftest import NODE_PAIR, random_config, similarity
 
 
@@ -88,7 +88,7 @@ class TestSceneTolerances:
         assert main(["edge", str(path)]) == EXIT_OK
         assert seen == [containment]
         validation = json.loads(capsys.readouterr().out)["validation"]
-        assert (validation["angle_tol"], validation["containment_tol"]) == (ANGLE_TOL, containment)
+        assert validation["containment_tol"] == containment
 
 
 class TestSceneLoading:
@@ -97,10 +97,16 @@ class TestSceneLoading:
         assert scene.canonical is not None
         assert scene.grid == GridSpec(-4, 4, -4, 4, 128, 128)
 
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("not json at all")
-        assert main(["edge", str(path)]) == EXIT_BAD_CONFIG
+    def test_rejects_garbage(self, tmp_path, capsys):
+        path, svg = tmp_path / "bad.json", tmp_path / "x.svg"
+        # not JSON, not UTF-8 (a UTF-16 byte order mark), nested past the parser's depth
+        for data in (b"not json at all", b"\xff\xfe", b"[" * 100_000):
+            path.write_bytes(data)
+            for command in ("edge", "diagram"):
+                assert main([command, str(path), "--svg", str(svg)]) == EXIT_BAD_CONFIG
+                captured = capsys.readouterr()
+                assert captured.out == "" and captured.err.startswith("error: cannot read config")
+        assert not svg.exists()
 
     def test_rejects_wrong_segment_count(self, tmp_path, capsys):
         path = tmp_path / "one.json"
@@ -186,16 +192,29 @@ class TestSceneLoading:
         assert captured.err.startswith("error: bad grid object")
 
     @pytest.mark.parametrize("command", ["edge", "diagram"])
-    @pytest.mark.parametrize("scene", [
-        {"segments": [[[True, 0], [1, 0]], [[0, 1], [2, 1]]]},
-        {"segments": [[[-1, 0], [1, 0]], [[0, 1], [2, 1]]], "tolerances": {"containment": True}},
-        {"canonical": {"a": 1, "b": False, "l": 1, "sin_alpha": 0.6, "cos_alpha": 0.8}},
+    @pytest.mark.parametrize("scene, message", [
+        pytest.param(scene, message, id=f"scene{k}") for k, (scene, message) in enumerate([
+            ({"segments": [[[True, 0], [1, 0]], [[0, 1], [2, 1]]]}, "expected a number, got "),
+            ({"segments": [[[-1, 0], [1, 0]], [[0, 1], [2, 1]]],
+              "tolerances": {"containment": True}}, "expected a number, got "),
+            ({"canonical": {"a": 1, "b": False, "l": 1, "sin_alpha": 0.6, "cos_alpha": 0.8}},
+             "expected a number, got "),
+            # integer literals too large for a double, at each place a scene gives a number
+            ({"segments": [[[10 ** 400, 0], [1, 0]], [[0, 1], [2, 1]]]}, "too large"),
+            ({"segments": [[[-1, 0], [1, 0]], [[0, 1], [2, 1]]],
+              "grid": {"xmin": -4, "xmax": 4, "ymin": -4, "ymax": 4, "nx": 10 ** 400, "ny": 16}},
+             "too large"),
+            ({"canonical": {"a": 10 ** 400, "b": 1, "l": 1, "sin_alpha": 0.6, "cos_alpha": 0.8}},
+             "too large"),
+            ({"segments": [[[-1, 0], [1, 0]], [[0, 1], [2, 1]]],
+              "tolerances": {"containment": -(10 ** 400)}}, "too large"),
+        ])
     ])
-    def test_rejects_booleans_as_numbers(self, command, scene, tmp_path, capsys):
+    def test_rejects_booleans_as_numbers(self, command, scene, message, tmp_path, capsys):
         path = tmp_path / "bool.json"
         path.write_text(json.dumps(scene))
         assert main([command, str(path), "--svg", str(tmp_path / "x.svg")]) == EXIT_BAD_CONFIG
-        assert "expected a number, got " in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "x.svg").exists()
 
     @pytest.mark.parametrize("command, stage", [("edge", "validate_curve"),
@@ -404,6 +423,14 @@ class TestEdgeCommand:
         # only the mirror branch; the curve comes from the validation march
         assert len(marched) == 1
 
+    def test_validation_holds_only_what_the_run_decided(self, pair_config, capsys):
+        assert main(["edge", pair_config]) == EXIT_OK
+        validation = json.loads(capsys.readouterr().out)["validation"]
+        assert sorted(validation) == [
+            "containment_residual", "containment_tol", "curve_sample_count",
+            "oracle_vertex_count", "passed", "realized_fraction", "status",
+        ]
+
     def test_empty_validation_carries_no_curve(self, tmp_path):
         path = tmp_path / "far.json"
         path.write_text(json.dumps({
@@ -487,6 +514,19 @@ class TestDiagramCommand:
         assert summary["sites"] == 3
         assert len(summary["region_cells"]) == 3
         assert svg.exists() and svg.read_text().startswith("<?xml")
+
+    def test_summary_does_not_echo_the_svg_path(self, tmp_path, capsys):
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(
+            {"segments": [[[-2, 0], [0, 0]], [[1, 1], [2, 2]], [[0, -2], [2, -2]]]}
+        ))
+        outs = []
+        for name in ("a.svg", "another-name.svg"):
+            assert main(["diagram", str(path), "--svg", str(tmp_path / name)]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert sorted(json.loads(outs[0])) == ["boundary_cells", "grid", "region_cells", "sites"]
+        assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "another-name.svg").read_bytes()
 
     def test_single_segment_rejected(self, tmp_path):
         path = tmp_path / "one.json"

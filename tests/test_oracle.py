@@ -414,7 +414,7 @@ class TestValidateCurve:
         report = validate_curve(curve, tiny)
         assert (report.oracle_vertex_count, report.curve_sample_count) == (0, 0)
         assert report.curve_polylines == ()
-        assert len(report.notes) == 2 and report.passed
+        assert report.passed
 
     def test_curve_polylines_are_the_branch_polylines(self, node_config):
         curve = build_edge(node_config)
@@ -426,9 +426,3 @@ class TestValidateCurve:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
-
-    def test_carrier_line_nodes_flagged(self):
-        cfg = CanonicalConfig(3.0, 0.0, 0.5, 0.0, 1.0)
-        report = validate_curve(build_edge(cfg), GridSpec.square(6.0, 65))
-        # both carriers sit on the x-axis: one full row of nodes
-        assert report.carrier_line_nodes >= 65
