@@ -12,6 +12,7 @@ from .geometry import (
     CanonicalConfig,
     EndpointQuery,
     IdenticalSegments,
+    OutOfRange,
     Point,
     Segment,
     SimilarityTransform,
@@ -74,6 +75,7 @@ __all__ = [
     "LabeledRaster",
     "Line",
     "NotFromEdge",
+    "OutOfRange",
     "Point",
     "PolyLineSet",
     "PredicateTag",

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .edge import EdgeCurve
-from .geometry import Point, Segment
+from .geometry import OutOfRange, Point, Segment
 from .poly import BivariatePoly, horner2, jet, normalize
 from .tolerances import (
     FACTOR_TOL,
@@ -263,6 +263,9 @@ def edge_singularities(f: BivariatePoly) -> list[SingularPoint]:
     norm = math.hypot(u, v)
     if norm == 0.0:
         raise NotFromEdge("f_xx + f_yy is constant, so there is no Laplacian line")
+    # scaled exactly so norm is in [1/2, 1); a far pair's norm**2 would underflow to 0
+    k = math.frexp(norm)[1]
+    w, u, v, norm = (math.ldexp(t, -k) for t in (w, u, v, norm))
     x0, y0, dx, dy = -w * u / norm**2, -w * v / norm**2, -v / norm, u / norm
     coeffs = _along_line(tables, x0, y0, dx, dy)
     bound = _along_line(bounds, abs(x0), abs(y0), abs(dx), abs(dy))
@@ -471,7 +474,7 @@ def detect_geometric_degeneracy(s1: Segment, s2: Segment) -> list[DegeneracyPred
     of coordinates overflows; the witnesses are scaled back by 2^k.
 
     Raises:
-        ValueError: a segment's endpoints coincide once the pair is scaled,
+        OutOfRange: a segment's endpoints coincide once the pair is scaled,
             because its length underflows against the pair's diameter.
     """
     pts = [*s1.endpoints, *s2.endpoints]
@@ -491,7 +494,7 @@ def detect_geometric_degeneracy(s1: Segment, s2: Segment) -> list[DegeneracyPred
     for name, seg, d in (("s1", s1, (ux, uy)), ("s2", s2, (vx, vy))):
         if d == (0.0, 0.0):
             length, diameter = math.dist(*seg.endpoints), math.ldexp(unit, k)
-            raise ValueError(f"{name}'s length {length!r} underflows at the diameter {diameter:g}")
+            raise OutOfRange(f"{name}'s length {length!r} underflows at the diameter {diameter:g}")
     d1, d2 = _unit(ux, uy), _unit(vx, vy)
     out: list[tuple[PredicateTag, dict[str, float]]] = []
 

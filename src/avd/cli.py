@@ -19,19 +19,19 @@ Frames: class payloads, "validation" and its curve and oracle polylines are
 in the canonical frame of the pair; predicate witnesses and the SVG are in
 the world frame; a config "grid" is a world window (validation runs over the
 bounding box of its preimage). Neither "validation" nor the diagram summary
-echoes a fixed constant or the --svg path. Exit codes: 2 malformed config
-(not UTF-8 JSON, nested past the parser's depth, a JSON boolean for a
-number, or an integer too large for a double), or a scene out of range for
-doubles (segments whose extent overflows, a canonical s2 whose endpoints
-round together, a pair whose s2 rounds to a point in the canonical frame, an
-edge table that overflows, an edge window (default or scene grid) whose
-image in the other frame overflows, an edge whose oracle or SVG marches
-overflow, a default diagram window that does, a diagram whose angle products
-overflow or underflow, a diagram site whose SVG pixel coordinates overflow,
-or a grid too large to index or allocate);
-3 identical segments, to 1e-12 of the pair's diameter (or a canonical block
-whose s2 is s1, or two coincident diagram sites); 4 internal anomaly (a
-cubic whose partials share a component, or whose Laplacian is constant).
+echoes a fixed constant or the --svg path. Outputs are written once all is
+computed. Exit codes, set by main alone from the type of the failure: 2 a
+malformed config (ConfigError: not UTF-8 JSON, nested past the parser's
+depth, a JSON boolean for a number, or an integer too large for a double), a
+scene out of range for doubles (OutOfRange, FloatingPointError or
+MemoryError: segments whose extent overflows, a canonical s2 whose endpoints
+round together, an edge table or window image that overflows, marches or
+angle products that overflow or underflow, SVG pixels that overflow, a grid
+too large to index or allocate), or an output that cannot be written
+(OSError); 3 identical segments, to 1e-12 of the pair's diameter
+(IdenticalSegments: also a canonical block whose s2 is s1, or two coincident
+diagram sites); 4 internal anomaly (SharedComponent or NotFromEdge: a cubic
+whose partials share a component, or whose Laplacian is constant).
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from .classify import (
     classify_edge,
     detect_geometric_degeneracy,
 )
-from .edge import EdgeCurve, ZeroPolynomial, build_edge
-from .geometry import CanonicalConfig, IdenticalSegments, Segment, canonicalize
+from .edge import EdgeCurve, build_edge
+from .geometry import CanonicalConfig, IdenticalSegments, OutOfRange, Segment, canonicalize
 from .oracle import (
     GridSpec,
     ValidationReport,
@@ -225,10 +225,6 @@ def build_report(curve: EdgeCurve, branch: EdgeClass, mirror: EdgeClass,
         {"tag": p.tag.value, "witness": p.witness}
         for p in detect_geometric_degeneracy(config.world_s1(), config.world_s2())
     ]
-    if checked.oracle_vertex_count or checked.curve_sample_count:
-        validation = {**checked.to_dict(), "status": "ok"}
-    else:
-        validation = {"status": "empty", "reason": "neither locus intersects the window"}
     return {
         "canonical": {k: getattr(config, k) for k in CANONICAL_KEYS},
         "normalized_coefficients": {
@@ -238,7 +234,7 @@ def build_report(curve: EdgeCurve, branch: EdgeClass, mirror: EdgeClass,
         "edge_class": _edge_class_dict(branch),
         "mirror_class": _edge_class_dict(mirror),
         "predicates": predicates,
-        "validation": validation,
+        "validation": checked.to_dict(),
     }
 
 
@@ -253,51 +249,41 @@ def cmd_edge(args) -> int:
             raise ConfigError("give either two segments or a canonical block")
     elif len(scene.segments) != 2:
         raise ConfigError("edge command needs exactly 2 segments")
-    try:
-        config = scene.canonical or canonicalize(*scene.segments)
-        curve = build_edge(config)
-        # the canonical window, and the world window the SVG draws
-        if scene.grid is None:
-            grid = GridSpec.canonical_window(config, 256)
-            view = grid.mapped(config.to_world)
-        else:
-            grid = scene.grid.mapped(config.to_world.inverse())
-            view = scene.grid
-    except ZeroPolynomial as exc:  # a canonical block whose s2 is s1
-        raise IdenticalSegments(str(exc)) from None
-    except IdenticalSegments:
-        raise
-    except ValueError as exc:  # the canonical s2, the edge table or a window overflows
-        raise ConfigError(f"edge is out of range: {exc}") from None
+    config = scene.canonical or canonicalize(*scene.segments)
+    curve = build_edge(config)
+    # the canonical window, and the world window the SVG draws
+    if scene.grid is None:
+        grid = GridSpec.canonical_window(config, 256)
+        view = grid.mapped(config.to_world)
+    else:
+        grid = scene.grid.mapped(config.to_world.inverse())
+        view = scene.grid
 
     branch = classify_edge(curve)
     mirror = classify_edge(curve.mirrored())
     # canonical coordinates near 1e153 overflow in the marches' products
-    try:
-        with np.errstate(over="raise"):
-            checked = validate_curve(curve, grid, scene.containment_tol)
-            if args.svg:
-                svg = render_edge_scene(
-                    view,
-                    config.to_world,
-                    [config.canonical_s1(), config.canonical_s2()],
-                    checked.curve_polylines,
-                    implicit_polylines(normalize(curve.mirror_poly), grid).polylines,
-                    checked.oracle_polylines,
-                    branch.singularities,
-                )
-    except (FloatingPointError, MemoryError) as exc:
-        raise ConfigError(f"edge is out of range: {exc}") from None
+    with np.errstate(over="raise"):
+        checked = validate_curve(curve, grid, scene.containment_tol)
+        if args.svg:
+            svg = render_edge_scene(
+                view,
+                config.to_world,
+                [config.canonical_s1(), config.canonical_s2()],
+                checked.curve_polylines,
+                implicit_polylines(normalize(curve.mirror_poly), grid).polylines,
+                checked.oracle_polylines,
+                branch.singularities,
+            )
     text = json.dumps(build_report(curve, branch, mirror, checked), indent=2, sort_keys=True)
+    # every output is computed, so a path that cannot be written leaves stdout empty
+    if args.svg:
+        with open(args.svg, "w", encoding="utf-8") as fh:
+            fh.write(svg)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
     return EXIT_OK
 
 
@@ -313,21 +299,12 @@ def cmd_diagram(args) -> int:
         ys = [p.y for s in scene.segments for p in s.endpoints]
         # positive, since every site has distinct endpoints
         pad = 0.75 * max(max(xs) - min(xs), max(ys) - min(ys))
-        try:
-            grid = GridSpec(min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad, 160, 160)
-        except ValueError as exc:
-            raise ConfigError(f"default window is out of range: {exc}") from None
+        grid = GridSpec(min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad, 160, 160)
     # sites near 2^512 overflow the angle products, and below about 2^-500
     # they underflow; either shifts or erases labels
-    try:
-        with np.errstate(over="raise", under="raise"):
-            raster = rasterize_diagram(list(scene.segments), grid)
-    except (FloatingPointError, MemoryError) as exc:
-        raise ConfigError(f"diagram is out of range: {exc}") from None
-    try:  # a site far outside a small window has pixels that overflow
-        svg = render_diagram(raster, scene.segments)
-    except ValueError as exc:
-        raise ConfigError(f"diagram is out of range: {exc}") from None
+    with np.errstate(over="raise", under="raise"):
+        raster = rasterize_diagram(list(scene.segments), grid)
+    svg = render_diagram(raster, scene.segments)
     with open(args.svg, "w", encoding="utf-8") as fh:
         fh.write(svg)
 
@@ -389,18 +366,22 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run a command; the one place where a failure's type sets the exit code."""
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        message, code = str(exc), EXIT_BAD_CONFIG
+    except (OutOfRange, FloatingPointError, MemoryError) as exc:
+        message, code = f"{args.command} is out of range: {exc}", EXIT_BAD_CONFIG
+    except OSError as exc:  # load_scene turns a config it cannot read into ConfigError
+        message, code = f"cannot write output: {exc}", EXIT_BAD_CONFIG
     except IdenticalSegments as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IDENTICAL
+        message, code = str(exc), EXIT_IDENTICAL
     except (SharedComponent, NotFromEdge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ANOMALY
+        message, code = str(exc), EXIT_ANOMALY
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CanonicalConfig
+from .geometry import CanonicalConfig, IdenticalSegments
 from .poly import BivariatePoly, ZeroPolynomial
 from .tolerances import DEGREE_TOL
 
-__all__ = ["EdgeCurve", "build_edge", "leading_coefficients", "ZeroPolynomial"]
+__all__ = ["EdgeCurve", "build_edge", "leading_coefficients"]
 
 
 def _edge_coefficient_table(a: float, b: float, l: float, s: float, c: float) -> np.ndarray:
@@ -88,7 +88,7 @@ def build_edge(config: CanonicalConfig) -> EdgeCurve:
     """Construct the bisector cubic for a canonical configuration.
 
     Raises:
-        ZeroPolynomial: either labeling yields the zero polynomial, which
+        IdenticalSegments: either labeling yields the zero polynomial, which
             happens exactly for an identical-segment pair (canonicalize
             rejects those earlier on the segment path).
     """
@@ -98,7 +98,7 @@ def build_edge(config: CanonicalConfig) -> EdgeCurve:
         poly = BivariatePoly(_edge_coefficient_table(a, b, l, s, c))
         mirror = BivariatePoly(_edge_coefficient_table(a, b, l, -s, -c))
     except ZeroPolynomial:
-        raise ZeroPolynomial(
+        raise IdenticalSegments(
             "edge polynomial vanishes identically; the segments coincide"
         ) from None
     return EdgeCurve(config, poly, mirror)

@@ -21,10 +21,14 @@ class IdenticalSegments(ValueError):
     """Raised when the two segments coincide as point sets."""
 
 
+class OutOfRange(ValueError):
+    """Raised when a value the scene needs does not fit in a double."""
+
+
 def _require_finite(*values: float) -> None:
     for v in values:
         if not math.isfinite(v):
-            raise ValueError(f"coordinate is not finite: {v!r}")
+            raise OutOfRange(f"coordinate is not finite: {v!r}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class Segment:
 
     def __post_init__(self) -> None:
         if self.e0.x == self.e1.x and self.e0.y == self.e1.y:
-            raise ValueError("segment endpoints must be distinct")
+            raise OutOfRange("segment endpoints must be distinct")
 
     @classmethod
     def of(cls, p0, p1) -> "Segment":
@@ -74,7 +78,7 @@ class SimilarityTransform:
 
     def __post_init__(self) -> None:
         if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError("scale must be positive and finite")
+            raise OutOfRange("scale must be positive and finite")
         _require_finite(self.rotation, *self.translation)
 
     @classmethod
@@ -122,10 +126,10 @@ class CanonicalConfig:
     def __post_init__(self) -> None:
         _require_finite(self.a, self.b, self.l, self.sin_alpha, self.cos_alpha)
         if not self.l > 0:
-            raise ValueError("l must be positive")
+            raise OutOfRange("l must be positive")
         norm = self.sin_alpha**2 + self.cos_alpha**2
-        if abs(norm - 1.0) > UNIT_CIRCLE_TOL:
-            raise ValueError("sin_alpha, cos_alpha must lie on the unit circle")
+        if abs(norm - 1.0) > UNIT_CIRCLE_TOL:  # from canonicalize only if s2 is a few subnormals
+            raise OutOfRange("sin_alpha, cos_alpha must lie on the unit circle")
         self.canonical_s2()  # its endpoints must not round together
 
     @property
@@ -193,13 +197,13 @@ def canonicalize(s1: Segment, s2: Segment) -> CanonicalConfig:
     Raises:
         IdenticalSegments: s1 and s2 coincide as point sets, to
             COINCIDENCE_TOL times the pair's diameter.
-        ValueError: the pair's diameter overflows, or s2's canonical
+        OutOfRange: the pair's diameter overflows, or s2's canonical
             endpoints round together.
     """
     pts = (*s1.endpoints, *s2.endpoints)
     diameter = max(math.hypot(p.x - q.x, p.y - q.y) for p in pts for q in pts)
     if math.isinf(diameter):
-        raise ValueError("the pair's extent overflows a double")
+        raise OutOfRange("the pair's extent overflows a double")
     eq_tol = COINCIDENCE_TOL * diameter
     same_fwd = _points_match(s1.e0, s2.e0, eq_tol) and _points_match(s1.e1, s2.e1, eq_tol)
     same_rev = _points_match(s1.e0, s2.e1, eq_tol) and _points_match(s1.e1, s2.e0, eq_tol)
@@ -223,5 +227,5 @@ def canonicalize(s1: Segment, s2: Segment) -> CanonicalConfig:
     ux, uy = e1c.x - e0c.x, e1c.y - e0c.y
     norm = math.hypot(ux, uy)
     if norm == 0:
-        raise ValueError("s2's canonical endpoints round together")
+        raise OutOfRange("s2's canonical endpoints round together")
     return CanonicalConfig(a, b, 0.5 * norm, uy / norm, ux / norm, to_world)

@@ -21,7 +21,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .edge import EdgeCurve
-from .geometry import IdenticalSegments, Point, Segment, SimilarityTransform, visual_angle
+from .geometry import (
+    IdenticalSegments, OutOfRange, Point, Segment, SimilarityTransform, visual_angle,
+)
 from .poly import BivariatePoly, normalize
 from .tolerances import (
     ANGLE_TOL,
@@ -63,11 +65,11 @@ class GridSpec:
     def __post_init__(self) -> None:
         # an extent in (0, inf) also rules out infinite and NaN bounds
         if not (0 < self.x_max - self.x_min < math.inf and 0 < self.y_max - self.y_min < math.inf):
-            raise ValueError("grid window must be finite with positive extent")
+            raise OutOfRange("grid window must be finite with positive extent")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
         if self.nx * self.ny * np.dtype(float).itemsize > np.iinfo(np.intp).max:  # bytes
-            raise ValueError("grid has more nodes than numpy can index")
+            raise OutOfRange("grid has more nodes than numpy can index")
 
     @classmethod
     def square(cls, half_width: float, n: int) -> "GridSpec":
@@ -523,7 +525,12 @@ class ValidationReport:
     oracle_polylines: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        """The compared fields with status "ok", or the "empty" form when
+        neither locus meets the window."""
+        if not (self.oracle_vertex_count or self.curve_sample_count):
+            return {"status": "empty", "reason": "neither locus intersects the window"}
+        compared = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        return {**compared, "status": "ok"}
 
 
 def validate_curve(

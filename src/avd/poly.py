@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import OutOfRange
+
 MAX_DEGREE = 3
 
 #: Monomial exponents in graded-lexicographic order, highest degree first,
@@ -33,7 +35,7 @@ class BivariatePoly:
         if c.shape != (4, 4):
             raise ValueError("coefficient table must have shape (4, 4)")
         if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
+            raise OutOfRange("coefficients must be finite")
         if np.any(c[~_DEGREE_MASK] != 0.0):
             raise ValueError("total degree above three is not representable")
         if not np.any(c):

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .classify import SingularPoint
-from .geometry import Segment, SimilarityTransform
+from .geometry import OutOfRange, Segment, SimilarityTransform
 from .oracle import BOUNDARY_LABEL, GridSpec, LabeledRaster
 
 #: Fixed region palette, cycled over site indices.
@@ -38,7 +38,7 @@ class _Mapper:
 
     Points go through to_world first. The identity map keeps every bit of
     its input, except that it turns -0.0 into 0.0. A pixel coordinate that
-    is not finite, as of a far site in a small window, raises ValueError.
+    is not finite, as of a far site in a small window, raises OutOfRange.
     """
 
     def __init__(
@@ -57,7 +57,7 @@ class _Mapper:
         x, y = self.to_world.apply(x, y)
         px, py = (x - self.grid.x_min) * self.sx, (self.grid.y_max - y) * self.sy
         if not (np.isfinite(px).all() and np.isfinite(py).all()):
-            raise ValueError("pixel coordinate is not finite")
+            raise OutOfRange("pixel coordinate is not finite")
         return px, py
 
     def path(self, points: np.ndarray) -> str:

@@ -233,6 +233,17 @@ class TestSceneLoading:
         assert captured.out == "" and not svg.exists()
         assert captured.err.startswith(f"error: {command} is out of range: Unable to allocate")
 
+    @pytest.mark.parametrize("command, option", [("edge", "--out"), ("edge", "--svg"),
+                                                 ("diagram", "--svg")])
+    def test_unwritable_output_exit_code(self, command, option, pair_config, tmp_path,
+                                         capsys):
+        target = tmp_path / "missing" / "out"
+        assert main([command, pair_config, option, str(target)]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and not target.exists()
+        err = captured.err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1
+
     @pytest.mark.parametrize("count", [256, 256.0, "256"])
     def test_whole_node_counts_run(self, count, tmp_path):
         path = tmp_path / "grid.json"
@@ -374,6 +385,47 @@ class TestEdgeCommand:
         monkeypatch.setattr(cli_mod, "classify_edge", boom)
         assert main(["edge", pair_config]) == EXIT_ANOMALY
         assert capsys.readouterr().err == "error: forced\n"
+
+    @pytest.mark.parametrize("a", [1e85, 1e100, 1e150])
+    def test_far_canonical_blocks_run(self, a, tmp_path, capsys):
+        # the Laplacian line's normal is about 1/a^2, whose square underflows
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(
+            {"canonical": {"a": a, "b": 0, "l": 1, "sin_alpha": 0.6, "cos_alpha": 0.8}}
+        ))
+        assert main(["edge", str(path), "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("scene", [
+        # s2 is 3 subnormal steps wide and high, and its rounded length, 4
+        # steps, puts (sin_alpha, cos_alpha) off the unit circle
+        {"segments": [[[-1, 0], [1, 0]], [[0, 0], [1.5e-323, 1.5e-323]]]},
+        # s2's length, 1e-323, underflows against the diameter once the
+        # predicates scale the pair
+        {"canonical": {"a": 0.5, "b": 0, "l": 5e-324, "sin_alpha": 0.6, "cos_alpha": 0.8}},
+    ])
+    def test_subnormal_s2_exit_code(self, scene, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(scene))
+        assert main(["edge", str(path)]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: edge is out of range")
+
+    @pytest.mark.parametrize("x", [1e60, 1e100])
+    def test_far_site_pixels_exit_code(self, x, tmp_path, capsys):
+        # a pixel x of about x * 3.6e252 in the 2e-250 wide window overflows
+        path = tmp_path / "far.json"
+        w = 1e-250
+        path.write_text(json.dumps({
+            "segments": [[[-1, 0], [1, 0]], [[x, 0], [x, 1]]],
+            "grid": {"xmin": -w, "xmax": w, "ymin": -w, "ymax": w, "nx": 8, "ny": 8},
+        }))
+        svg = tmp_path / "x.svg"
+        assert main(["edge", str(path), "--svg", str(svg)]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and not svg.exists()
+        err = captured.err
+        assert err.startswith("error: edge is out of range") and err.count("\n") == 1
 
     def test_far_antiparallel_pair_is_a_hyperbola(self, tmp_path, capsys):
         # a congruent antiparallel pair far from the origin: its degree-2

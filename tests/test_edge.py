@@ -7,7 +7,7 @@ import pytest
 from avd import (
     CanonicalConfig,
     GridSpec,
-    ZeroPolynomial,
+    IdenticalSegments,
     build_edge,
     classify_edge,
     leading_coefficients,
@@ -80,10 +80,10 @@ class TestBuildEdge:
                 )
 
     def test_identical_pair_raises(self):
-        with pytest.raises(ZeroPolynomial):
+        with pytest.raises(IdenticalSegments):
             build_edge(CanonicalConfig(0.0, 0.0, 1.0, 0.0, -1.0))
         # opposite labeling of the same degenerate pair
-        with pytest.raises(ZeroPolynomial):
+        with pytest.raises(IdenticalSegments):
             build_edge(CanonicalConfig(0.0, 0.0, 1.0, 0.0, 1.0))
 
 

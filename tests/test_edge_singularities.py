@@ -18,12 +18,15 @@ import pytest
 
 from avd import (
     BivariatePoly,
+    CanonicalConfig,
+    EdgeClassTag,
     NotFromEdge,
     Segment,
     SharedComponent,
     SingularityKind,
     build_edge,
     canonicalize,
+    classify_edge,
     edge_singularities,
     factor_circle_line,
 )
@@ -144,3 +147,13 @@ def test_constant_laplacian_is_not_an_edge():
     # Re(z^3) + y is harmonic: f_xx + f_yy vanishes everywhere
     with pytest.raises(NotFromEdge):
         edge_singularities(BivariatePoly.from_terms({(3, 0): 1.0, (1, 2): -3.0, (0, 1): 1.0}))
+
+
+@pytest.mark.parametrize("a", [1e85, 1e100, 1e150])
+def test_far_pair_classifies(a):
+    # the Laplacian line's normal (u, v) is about 1/a^2, so its squared norm
+    # underflows; both labelings are regular, as they are at a = 1e80
+    curve = build_edge(CanonicalConfig(a, 0.0, 1.0, 0.6, 0.8))
+    for branch in (curve, curve.mirrored()):
+        cls = classify_edge(branch)
+        assert (cls.tag, cls.singularities) == (EdgeClassTag.CUBIC_IRREDUCIBLE_REGULAR, ())
